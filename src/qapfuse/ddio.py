@@ -156,9 +156,9 @@ def write_dd(instance, sink):
         out.write(f"p {instance.n_left} {instance.n_right} "
                   f"{len(instance.assignments)} {len(instance.pairwise_terms)}\n")
         for a in instance.assignments:
-            out.write(f"a {a.id} {a.left} {a.right} {a.cost!r}\n")
+            out.write(f"a {a.id} {a.left} {a.right} {float(a.cost)!r}\n")
         for e in instance.pairwise_terms:
-            out.write(f"e {e.id1} {e.id2} {e.cost!r}\n")
+            out.write(f"e {e.id1} {e.id2} {float(e.cost)!r}\n")
     finally:
         if own:
             out.close()

@@ -5,28 +5,31 @@ reparametrized unaries plus per-edge minima of the message-adjusted
 tables) and an assignment part (per-label minima of the assignment-side
 unaries, clipped at the zero-cost dummy node); see :func:`dual_bound`.
 
-Three update families raise the bound, each touching one block of dual
+Three update families raise the bound, each touching blocks of dual
 variables:
 
-* :func:`update_edge_messages` is the optimal block update for one edge:
-  both endpoint unaries are pushed into the edge table, then the table's
-  row/column minima are redistributed back half-and-half.  Being an exact
-  block maximization, it can never lower the bound.
-* :func:`update_node_messages` equalizes a node's matching-side unaries
+* :func:`update_edge_messages` is the optimal block update for every edge
+  of one level: both endpoint unaries are pushed into the edge table, then
+  the table's row/column minima are redistributed back half-and-half.
+  Being an exact block maximization, it can never lower the bound.  A
+  level's edges share no node, so they update as one batch.
+* :func:`update_node_messages` equalizes each node's matching-side unaries
   at the midpoint of its two smallest values, shifting the differences
   into the assignment side.  The dummy entry is never modified.
-* :func:`update_label_messages` symmetrically equalizes one label's
+* :func:`update_label_messages` symmetrically equalizes each label's
   assignment-side costs across its owners at the midpoint of the two
   smallest values (the zero-cost dummy node always competes), shifting the
   differences back to the matching side.
 
 Both midpoint updates are monotone for any dual state: the gaining side
 improves by exactly half the gap between the two smallest values, while
-the losing side can drop by at most that amount.
+the losing side can drop by at most that amount.  Every node and label
+touches only its own slots, so each family is one segment reduction.
 
-A :func:`sweep` runs edge updates over all edges in fixed lexicographic
-order, optionally emits primal proposals from the current reparametrized
-costs, then runs node and label updates, and re-evaluates the bound.
+A :func:`sweep` runs the edge levels in order, which performs exactly the
+updates of the lexicographic edge loop (see :class:`qapfuse.model.Problem`),
+optionally emits primal proposals from the current reparametrized costs,
+then runs the node and label updates, and re-evaluates the bound.
 """
 
 from dataclasses import dataclass
@@ -35,12 +38,7 @@ import numpy as np
 
 from .greedy import greedy_on_reparametrized
 from .lap import label_min_term
-from .model import (
-    Reparametrization,
-    lap_unary_vector,
-    reparametrized_pairwise_table,
-    reparametrized_unary_vector,
-)
+from .model import DUMMY, Reparametrization, assignment_side, matching_side, sequential_sum
 
 # A full sweep may lower the bound by at most this much before we call it
 # a bug and abort.
@@ -48,72 +46,87 @@ MONOTONICITY_SLACK = 1e-7
 
 
 def dual_bound(problem, repar):
-    """Lower bound on the optimal energy at the given dual state."""
-    total = 0.0
-    for u in range(problem.num_nodes):
-        total += float(reparametrized_unary_vector(problem, repar, u).min())
-    for u, v in problem.edges:
-        total += float(reparametrized_pairwise_table(problem, repar, u, v).min())
-    return total + label_min_term(problem, repar)
+    """Lower bound on the optimal energy at the given dual state.
+
+    Node minima, then edge minima in ``problem.edges`` order, then the
+    label term are added one at a time, as a per-term loop would.
+    """
+    edge_min = [np.zeros(0)]
+    for batch in problem.batches:
+        for table, _, _, mu, mv, _ in batch:
+            msg_u, msg_v = repar.batch_messages(table, mu, mv)
+            edge_min.append((table + msg_u[:, :, None] + msg_v[:, None, :]).min(axis=(1, 2)))
+    node_min = np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1])
+    terms = np.concatenate((node_min, np.concatenate(edge_min)[problem.edge_rank]))
+    return sequential_sum(terms) + label_min_term(problem, repar)
 
 
-def update_edge_messages(problem, repar, edge):
-    """Optimal block update of both message directions of one edge.
+def _midpoints(values, starts):
+    """Per entry of ``values``, the midpoint of the two smallest entries of
+    its segment (segments begin at ``starts``; a repeated minimum counts twice)."""
+    segment = np.repeat(np.arange(starts.size), np.diff(np.append(starts, values.size)))
+    m1 = np.minimum.reduceat(values, starts)
+    is_min = values == m1[segment]
+    m2 = np.minimum.reduceat(np.where(is_min, np.inf, values), starts)
+    m2 = np.where(np.add.reduceat(is_min, starts, dtype=np.int64) > 1, m1, m2)
+    return ((m1 + m2) / 2.0)[segment]
+
+
+def update_edge_messages(problem, repar, level):
+    """Optimal block update of both message directions of every edge in
+    ``problem.levels[level]``.
 
     Accumulation moves both reparametrized unaries into the edge table;
     redistribution hands the table's minima back: half of each row minimum
     to u, then full column minima to v, then the remaining row minima to u.
     """
-    u, v = edge
-    table = problem.pairwise[(u, v)]
+    side = matching_side(problem, repar)
+    for table, u_slot, v_slot, mu, mv, _ in problem.batches[level]:
+        old_u, old_v = repar.batch_messages(table, mu, mv)
+        iu = u_slot[:, None] + np.arange(table.shape[1])
+        iv = v_slot[:, None] + np.arange(table.shape[2])
 
-    msg_u = repar.edge_msg[(u, v)] + reparametrized_unary_vector(problem, repar, u)
-    msg_v = repar.edge_msg[(v, u)] + reparametrized_unary_vector(problem, repar, v)
+        msg_u = old_u + side[iu]
+        msg_v = old_v + side[iv]
+        adjusted = table + msg_u[:, :, None] + msg_v[:, None, :]
+        msg_u = msg_u - 0.5 * adjusted.min(axis=2)
+        msg_v = -(table + msg_u[:, :, None]).min(axis=1)
+        adjusted = table + msg_u[:, :, None] + msg_v[:, None, :]
+        msg_u = msg_u - adjusted.min(axis=2)
 
-    adjusted = table + msg_u[:, None] + msg_v[None, :]
-    msg_u = msg_u - 0.5 * adjusted.min(axis=1)
-    msg_v = -(table + msg_u[:, None]).min(axis=0)
-    adjusted = table + msg_u[:, None] + msg_v[None, :]
-    msg_u = msg_u - adjusted.min(axis=1)
-
-    repar.set_edge_msg(u, v, msg_u)
-    repar.set_edge_msg(v, u, msg_v)
+        repar.msg_sums[iu] += msg_u - old_u
+        repar.msg_sums[iv] += msg_v - old_v
+        old_u[:] = msg_u
+        old_v[:] = msg_v
 
 
-def update_node_messages(problem, repar, u):
-    """Equalize node u's matching-side unaries at the two-smallest midpoint.
+def update_node_messages(problem, repar):
+    """Equalize every node's matching-side unaries at its two-smallest
+    midpoint.
 
-    After the update every real candidate sits at (m1 + m2) / 2, where m1
-    and m2 are the smallest and second smallest entries (dummy included)
-    before the update; the dummy entry itself is untouched.  No-op for
-    nodes without candidates.
+    After the update every real candidate of node u sits at (m1 + m2) / 2,
+    where m1 and m2 are the smallest and second smallest entries (dummy
+    included) before the update; the dummy entry itself is untouched.
+    Nodes without candidates are left alone.
     """
-    k = problem.num_candidates(u)
-    if k == 0:
-        return
-    values = reparametrized_unary_vector(problem, repar, u)
-    m1, m2 = np.partition(values, 1)[:2]
-    mid = (m1 + m2) / 2.0
-    repar.label_msg[u][:k] += mid - values[:k]
+    values = matching_side(problem, repar)
+    real = problem.slot_labels != DUMMY
+    repar.label_flat[real] += (_midpoints(values, problem.offsets[:-1]) - values)[real]
 
 
-def update_label_messages(problem, repar, s):
-    """Equalize label s's assignment-side costs at the two-smallest midpoint.
+def update_label_messages(problem, repar):
+    """Equalize every label's assignment-side costs at its two-smallest
+    midpoint.
 
     Candidates are the label's owners plus the zero-cost dummy node.  After
     the update every owner's assignment-side cost equals the midpoint of
     the two smallest candidate values; differences move to the matching
-    side.  No-op for labels nobody owns.
+    side.  Labels nobody owns are left alone.
     """
-    owners = problem.owners(s)
-    if not owners:
-        return
-    values = np.array([lap_unary_vector(problem, repar, u)[i] for u, i in owners])
-    with_dummy = np.append(values, 0.0)
-    m1, m2 = np.partition(with_dummy, 1)[:2]
-    mid = (m1 + m2) / 2.0
-    for (u, i), value in zip(owners, values):
-        repar.label_msg[u][i] += value - mid
+    slots = problem.label_slots
+    values = np.append(assignment_side(problem, repar), 0.0)[slots]
+    owner = slots < problem.slot_labels.size
+    repar.label_flat[slots[owner]] += (values - _midpoints(values, problem.label_starts))[owner]
 
 
 @dataclass
@@ -134,17 +147,18 @@ def sweep(problem, state, emit=None, *, rng=None, num_proposals=1,
           proposal_fn=None, observer=None):
     """One full ascent pass; the bound never decreases across it.
 
-    Edge updates run over all edges in lexicographic order.  If ``emit`` is
-    given, ``num_proposals`` assignments are generated between the edge and
-    node/label phases (by ``proposal_fn(problem, repar, rng)``, defaulting
-    to greedy on the reparametrized costs) and handed to ``emit``.
+    Edge updates run level by level, which equals the lexicographic edge
+    order.  If ``emit`` is given, ``num_proposals`` assignments are
+    generated between the edge and node/label phases (by
+    ``proposal_fn(problem, repar, rng)``, defaulting to greedy on the
+    reparametrized costs) and handed to ``emit``.
     ``observer``, if given, is called with the phase tokens "edge-sweep",
     "proposal" and "label-sweep" as each phase completes.
     """
     before = state.dual_bound
 
-    for edge in problem.edges:
-        update_edge_messages(problem, state.repar, edge)
+    for level in range(len(problem.levels)):
+        update_edge_messages(problem, state.repar, level)
     if observer is not None:
         observer("edge-sweep")
 
@@ -155,10 +169,8 @@ def sweep(problem, state, emit=None, *, rng=None, num_proposals=1,
             if observer is not None:
                 observer("proposal")
 
-    for u in range(problem.num_nodes):
-        update_node_messages(problem, state.repar, u)
-    for s in sorted(problem.label_owners):
-        update_label_messages(problem, state.repar, s)
+    update_node_messages(problem, state.repar)
+    update_label_messages(problem, state.repar)
 
     state.dual_bound = dual_bound(problem, state.repar)
     state.sweep_counter += 1

@@ -100,17 +100,16 @@ def build_fusion(problem, x1, x2):
     var_of = {u: i for i, u in enumerate(free_nodes)}
     choices = [(int(x1[u]), int(x2[u])) for u in free_nodes]
     k = len(free_nodes)
+    slots = np.stack((problem.slots(x1), problem.slots(x2)))
+    at = (slots - problem.offsets[:-1]).T.tolist()  # at[u][side]: local index
 
-    unary = np.zeros((k, 2))
+    unary = problem.unary_flat[slots[:, free_nodes].T]
     unary_penalties = np.zeros((k, 2), dtype=np.int64)
-    for i, u in enumerate(free_nodes):
-        for side in (0, 1):
-            unary[i, side] = problem.unary[u][problem.local_index(u, choices[i][side])]
 
     base = 0.0
     for u in range(problem.num_nodes):
         if u not in var_of:
-            base += problem.unary[u][problem.local_index(u, x1[u])]
+            base += problem.unary[u][at[u][0]]
 
     tables = {}
     table_penalties = {}
@@ -125,24 +124,18 @@ def build_fusion(problem, x1, x2):
     for (u, v), cost in problem.pairwise.items():
         iu, iv = var_of.get(u), var_of.get(v)
         if iu is None and iv is None:
-            base += cost[problem.local_index(u, x1[u]), problem.local_index(v, x1[v])]
+            base += cost[at[u][0], at[v][0]]
         elif iv is None:
-            t = problem.local_index(v, x1[v])
             for side in (0, 1):
-                unary[iu, side] += cost[problem.local_index(u, choices[iu][side]), t]
+                unary[iu, side] += cost[at[u][side], at[v][0]]
         elif iu is None:
-            s = problem.local_index(u, x1[u])
             for side in (0, 1):
-                unary[iv, side] += cost[s, problem.local_index(v, choices[iv][side])]
+                unary[iv, side] += cost[at[u][0], at[v][side]]
         else:
-            key = table_for(iu, iv)
-            block = tables[key]
-            a, b = key
+            block = tables[table_for(iu, iv)]  # iu < iv, as u < v
             for sa in (0, 1):
                 for sb in (0, 1):
-                    block[sa, sb] += cost[
-                        problem.local_index(free_nodes[a], choices[a][sa]),
-                        problem.local_index(free_nodes[b], choices[b][sb])]
+                    block[sa, sb] += cost[at[u][sa], at[v][sb]]
 
     big = problem.uniqueness_big_cost
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import DUMMY, lap_unary_vector
+from .model import DUMMY, assignment_side, lap_unary_vector, sequential_sum
 
 
 @dataclass
@@ -70,14 +70,8 @@ def solve_lap(instance):
 
 
 def label_min_term(problem, repar):
-    """Sum over labels of min(0, cheapest owner's assignment-side cost)."""
-    side = [lap_unary_vector(problem, repar, u) for u in range(problem.num_nodes)]
-    total = 0.0
-    for s, owners in problem.label_owners.items():
-        best = 0.0
-        for u, i in owners:
-            value = side[u][i]
-            if value < best:
-                best = value
-        total += best
-    return float(total)
+    """Sum over labels of min(0, cheapest owner's assignment-side cost),
+    added one label at a time in ``problem.label_owners`` order."""
+    values = np.append(assignment_side(problem, repar), 0.0)[problem.label_slots]
+    best = np.minimum.reduceat(values, problem.label_starts)
+    return sequential_sum(np.where(best < 0.0, best, 0.0))

@@ -6,7 +6,8 @@ and the node/label phase of every sweep the configured primal heuristic
 LAP solution) emits proposals, and each proposal is immediately fused into
 the incumbent.  The incumbent's energy is non-increasing, the dual bound
 non-decreasing, and the run stops on batch count, wall-clock budget, or a
-proved optimum (relative gap below 1e-6).
+proved optimum (gap below 1e-6 of the larger of |energy| and the largest
+cost magnitude).
 
 Traces are deterministic given the seed: elapsed time in trace records is
 a work-proportional virtual clock by default (so identical runs produce
@@ -80,12 +81,6 @@ class _VirtualClock:
         return self.work / _WORK_RATE
 
 
-def _problem_work(problem):
-    pair = sum(t.size for t in problem.pairwise.values())
-    un = sum(c.size for c in problem.unary)
-    return pair, un
-
-
 def solve(problem, config=None, *, trace_clock=None):
     """Run the full solver on a problem; returns a SolveOutcome."""
     config = config or SolverConfig()
@@ -93,7 +88,7 @@ def solve(problem, config=None, *, trace_clock=None):
     rng = np.random.default_rng(config.seed)
     wall_start = time.perf_counter()
 
-    pair_work, unary_work = _problem_work(problem)
+    pair_work, unary_work = problem.table_buffer.size, problem.unary_flat.size
     vclock = None
     if trace_clock is None:
         vclock = _VirtualClock()
@@ -117,8 +112,10 @@ def solve(problem, config=None, *, trace_clock=None):
     record("greedy", best_energy)
 
     def proved():
+        # Relative to the instance's largest cost when the energy is near 0,
+        # so the test reads the same at every cost scale.
         gap = best_energy - state.dual_bound
-        return gap <= OPTIMALITY_TOLERANCE * max(1.0, abs(best_energy))
+        return gap <= OPTIMALITY_TOLERANCE * max(problem.cost_scale, abs(best_energy))
 
     proposal_fn = None
     proposal_event = "greedy"

@@ -49,6 +49,17 @@ class TestParseDd:
             qf.parse_dd("p 1 1 1 0\na 0 0 0 oops\n")
         assert err.value.line == 2
 
+    def test_roundtrip_with_numpy_float_costs(self):
+        inst = qf.DdInstance(2, 2, [qf.DdAssignment(0, 0, 0, np.float64(1.5)),
+                                    qf.DdAssignment(1, 1, 1, np.float32(-0.25))],
+                             [qf.DdPairwiseTerm(0, 1, np.float64(-3.0))])
+        buffer = io.StringIO()
+        qf.write_dd(inst, buffer)
+        back = qf.parse_dd(buffer.getvalue())
+        assert [a.cost for a in back.assignments] == [1.5, -0.25]
+        assert back.pairwise_terms == [qf.DdPairwiseTerm(0, 1, -3.0)]
+        assert "np." not in buffer.getvalue()
+
     def test_roundtrip_on_random_instances(self):
         rng = np.random.default_rng(12)
         for _ in range(50):

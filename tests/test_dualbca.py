@@ -63,7 +63,8 @@ class TestEdgeUpdate:
                        [np.array([0.0, 0.0])] * 2,
                        {(0, 1): np.zeros((2, 2))})
         r = qf.Reparametrization(p)
-        qf.update_edge_messages(p, r, (0, 1))
+        assert p.levels == [[(0, 1)]]
+        qf.update_edge_messages(p, r, 0)
         assert np.allclose(r.edge_msg[(0, 1)], 0.0)
         assert np.allclose(r.edge_msg[(1, 0)], 0.0)
 
@@ -78,7 +79,7 @@ class TestEdgeUpdate:
         p = qf.Problem(2, 2, cand, unary, {(0, 1): table})
         opt, _ = brute_force_optimum(p)
         r = qf.Reparametrization(p)
-        qf.update_edge_messages(p, r, (0, 1))
+        qf.update_edge_messages(p, r, 0)
         assert qf.dual_bound(p, r) == pytest.approx(opt, abs=1e-9)
 
     def test_second_application_leaves_bound_unchanged(self):
@@ -88,10 +89,10 @@ class TestEdgeUpdate:
             if not p.edges:
                 continue
             r = random_reparametrization(p, rng)
-            edge = p.edges[int(rng.integers(len(p.edges)))]
-            qf.update_edge_messages(p, r, edge)
+            level = int(rng.integers(len(p.levels)))
+            qf.update_edge_messages(p, r, level)
             first = qf.dual_bound(p, r)
-            qf.update_edge_messages(p, r, edge)
+            qf.update_edge_messages(p, r, level)
             second = qf.dual_bound(p, r)
             assert second == pytest.approx(first, abs=1e-9)
 
@@ -105,7 +106,7 @@ class TestNodeUpdate:
         values = qf.reparametrized_unary_vector(p, r, 0)
         np.testing.assert_allclose(values, [4.0, 10.0, 6.0])
         before = qf.dual_bound(p, r)
-        qf.update_node_messages(p, r, 0)
+        qf.update_node_messages(p, r)
         after = qf.reparametrized_unary_vector(p, r, 0)
         np.testing.assert_allclose(after, [5.0, 5.0, 6.0])
         assert qf.dual_bound(p, r) >= before - 1e-12
@@ -117,7 +118,7 @@ class TestNodeUpdate:
         base = qf.reparametrized_unary_vector(p, r, 0).copy()
         # make all three entries equal by shifting the label messages
         r.set_label_msg(0, np.array([3.0 - base[0], 3.0 - base[1]]))
-        qf.update_node_messages(p, r, 0)
+        qf.update_node_messages(p, r)
         np.testing.assert_allclose(qf.reparametrized_unary_vector(p, r, 0),
                                    [3.0, 3.0, 3.0])
 
@@ -126,8 +127,8 @@ class TestNodeUpdate:
         for _ in range(50):
             p = random_problem(rng, max_nodes=4)
             r = random_reparametrization(p, rng)
+            qf.update_node_messages(p, r)
             for u in range(p.num_nodes):
-                qf.update_node_messages(p, r, u)
                 k = p.num_candidates(u)
                 if k:
                     values = qf.reparametrized_unary_vector(p, r, u)[:k]
@@ -141,7 +142,7 @@ class TestLabelUpdate:
         p = qf.Problem(1, 1, [[0]], [np.array([-8.0, 0.0])])
         r = qf.Reparametrization(p)
         assert qf.lap_unary(p, r, 0, 0) == pytest.approx(-4.0)
-        qf.update_label_messages(p, r, 0)
+        qf.update_label_messages(p, r)
         assert qf.lap_unary(p, r, 0, 0) == pytest.approx(-2.0)
 
     def test_dummy_minimal_case(self):
@@ -150,24 +151,34 @@ class TestLabelUpdate:
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([6.0, 0.0]), np.array([14.0, 0.0])])
         r = qf.Reparametrization(p)
-        qf.update_label_messages(p, r, 0)
+        qf.update_label_messages(p, r)
         assert qf.lap_unary(p, r, 0, 0) == pytest.approx(1.5)
         assert qf.lap_unary(p, r, 1, 0) == pytest.approx(1.5)
 
     def test_unowned_label_is_noop(self):
-        p = qf.Problem(1, 2, [[0]], [np.array([1.0, 0.0])])
-        r = qf.Reparametrization(p)
-        before = qf.dual_bound(p, r)
-        qf.update_label_messages(p, r, 1)
-        assert qf.dual_bound(p, r) == before
+        # Label 1 has no owner: adding it to the pool changes nothing, and
+        # with no owned label at all the update leaves the state alone.
+        p = qf.Problem(1, 2, [[0]], [np.array([-3.0, 1.0])])
+        q = qf.Problem(1, 1, [[0]], [np.array([-3.0, 1.0])])
+        r, t = qf.Reparametrization(p), qf.Reparametrization(q)
+        qf.update_label_messages(p, r)
+        qf.update_label_messages(q, t)
+        assert np.array_equal(r.label_msg[0], t.label_msg[0])
+        assert qf.dual_bound(p, r) == qf.dual_bound(q, t)
+        empty = qf.Problem(1, 2, [[]], [np.array([1.0])])
+        r = qf.Reparametrization(empty)
+        before = qf.dual_bound(empty, r)
+        qf.update_label_messages(empty, r)
+        assert qf.dual_bound(empty, r) == before
+        assert np.array_equal(r.label_msg[0], [0.5])
 
     def test_equalizes_owners(self):
         rng = np.random.default_rng(45)
         for _ in range(50):
             p = random_problem(rng, max_nodes=4)
             r = random_reparametrization(p, rng)
+            qf.update_label_messages(p, r)
             for s in sorted(p.label_owners):
-                qf.update_label_messages(p, r, s)
                 values = [qf.lap_unary_vector(p, r, u)[i] for u, i in p.owners(s)]
                 assert np.ptp(values) <= 1e-9
 
@@ -180,24 +191,19 @@ class TestMonotonicity:
             p = random_problem(rng, max_nodes=4, max_labels=3)
             r = random_reparametrization(p, rng)
             bound = qf.dual_bound(p, r)
-            for edge in p.edges:
-                qf.update_edge_messages(p, r, edge)
+
+            def step(update, *args):
+                nonlocal bound, checked
+                update(p, r, *args)
                 new = qf.dual_bound(p, r)
                 assert new >= bound - 1e-7
                 bound = new
                 checked += 1
-            for u in range(p.num_nodes):
-                qf.update_node_messages(p, r, u)
-                new = qf.dual_bound(p, r)
-                assert new >= bound - 1e-7
-                bound = new
-                checked += 1
-            for s in sorted(p.label_owners):
-                qf.update_label_messages(p, r, s)
-                new = qf.dual_bound(p, r)
-                assert new >= bound - 1e-7
-                bound = new
-                checked += 1
+
+            for level in range(len(p.levels)):
+                step(qf.update_edge_messages, level)
+            step(qf.update_node_messages)
+            step(qf.update_label_messages)
 
 
 class TestSweep:
@@ -251,3 +257,112 @@ class TestSweep:
             x = random_assignment(p, rng)
             e = qf.energy(p, x)
             assert identity_total(p, st.repar, x) == pytest.approx(e, rel=1e-9, abs=1e-9)
+
+
+class ReferenceAscent:
+    """Edge-by-edge ascent written out from the update formulas, on plain
+    dicts and lists: edges in lexicographic order, then each node, then
+    each label, each term of the bound added one at a time."""
+
+    def __init__(self, problem, repar):
+        self.p = problem
+        self.edge = {key: np.array(msg) for key, msg in repar.edge_msg.items()}
+        self.label = [np.array(msg) for msg in repar.label_msg]
+        self.sums = [np.array(repar.msg_sum(u)) for u in range(problem.num_nodes)]
+
+    def unary(self, u):
+        return self.p.unary[u] / 2.0 + self.label[u] - self.sums[u]
+
+    def assignment(self, u):
+        return self.p.unary[u] / 2.0 - self.label[u]
+
+    def set_edge(self, u, v, values):
+        self.sums[u] += values - self.edge[(u, v)]
+        self.edge[(u, v)] = values
+
+    def sweep(self):
+        p = self.p
+        for u, v in p.edges:
+            table = p.pairwise[(u, v)]
+            msg_u = self.edge[(u, v)] + self.unary(u)
+            msg_v = self.edge[(v, u)] + self.unary(v)
+            adjusted = table + msg_u[:, None] + msg_v[None, :]
+            msg_u = msg_u - 0.5 * adjusted.min(axis=1)
+            msg_v = -(table + msg_u[:, None]).min(axis=0)
+            adjusted = table + msg_u[:, None] + msg_v[None, :]
+            msg_u = msg_u - adjusted.min(axis=1)
+            self.set_edge(u, v, msg_u)
+            self.set_edge(v, u, msg_v)
+        for u in range(p.num_nodes):
+            k = len(p.candidate_labels[u])
+            if k:
+                values = self.unary(u)
+                m1, m2 = sorted(values.tolist())[:2]
+                self.label[u][:k] += (m1 + m2) / 2.0 - values[:k]
+        for s, owners in sorted(p.label_owners.items()):
+            values = [self.assignment(u)[i] for u, i in owners]
+            m1, m2 = sorted(values + [0.0])[:2]
+            for (u, i), value in zip(owners, values):
+                self.label[u][i] += value - (m1 + m2) / 2.0
+
+    def bound(self):
+        p = self.p
+        total = 0.0
+        for u in range(p.num_nodes):
+            total += float(self.unary(u).min())
+        for u, v in p.edges:
+            table = p.pairwise[(u, v)] + self.edge[(u, v)][:, None] + self.edge[(v, u)][None, :]
+            total += float(table.min())
+        labels = 0.0
+        for owners in p.label_owners.values():
+            best = 0.0
+            for u, i in owners:
+                best = min(best, self.assignment(u)[i])
+            labels += best
+        return total + labels
+
+
+class TestLevelScheduledSweep:
+    def test_levels_are_node_disjoint_and_respect_edge_order(self):
+        rng = np.random.default_rng(70)
+        for _ in range(30):
+            p = random_problem(rng, max_nodes=9, edge_prob=0.5)
+            assert sorted(e for level in p.levels for e in level) == p.edges
+            level_of = {e: i for i, level in enumerate(p.levels) for e in level}
+            for i, level in enumerate(p.levels):
+                ends = [w for e in level for w in e]
+                assert len(ends) == len(set(ends))
+                assert level == sorted(level)
+            for j, (u, v) in enumerate(p.edges):
+                earlier = [level_of[e] for e in p.edges[:j] if {u, v} & set(e)]
+                assert level_of[(u, v)] == 1 + max(earlier, default=-1)
+
+    def test_sweep_equals_edge_by_edge_reference_exactly(self):
+        rng = np.random.default_rng(71)
+        seen = dict.fromkeys(["mixed shapes", "no candidates", "isolated node",
+                              "no edges", "unowned label"], 0)
+        for trial in range(80):
+            p = random_problem(rng, max_nodes=10, max_labels=5, integer=False,
+                               edge_prob=0.0 if trial % 8 == 0 else 0.6)
+            size = [p.num_candidates(u) for u in range(p.num_nodes)]
+            seen["mixed shapes"] += any(
+                len({(size[u], size[v]) for u, v in level}) > 1 for level in p.levels)
+            seen["no candidates"] += 0 in size
+            seen["isolated node"] += any(not nb for nb in p.neighbors)
+            seen["no edges"] += not p.edges
+            seen["unowned label"] += len(p.label_owners) < p.num_labels
+            if trial % 2:
+                st = qf.DualState(random_reparametrization(p, rng), -np.inf)
+            else:
+                st = qf.DualState.initial(p)
+            ref = ReferenceAscent(p, st.repar)
+            for _ in range(4):
+                qf.sweep(p, st)
+                ref.sweep()
+                assert st.dual_bound == ref.bound()
+                for key, msg in ref.edge.items():
+                    assert np.array_equal(st.repar.edge_msg[key], msg)
+                for u in range(p.num_nodes):
+                    assert np.array_equal(st.repar.label_msg[u], ref.label[u])
+                    assert np.array_equal(st.repar.msg_sum(u), ref.sums[u])
+        assert all(seen.values()), seen

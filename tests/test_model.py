@@ -56,10 +56,65 @@ class TestEnergy:
                             [c.copy() for c in p.unary], reduced)
             assert qf.energy(p, x) - qf.energy(p2, x) == pytest.approx(term, abs=1e-12)
 
+    def test_equals_resummation_exactly_on_varied_shapes(self):
+        # Unary terms in node order, then pairwise terms in edge order.
+        rng = np.random.default_rng(102)
+        for _ in range(100):
+            p = random_problem(rng, max_nodes=8, max_labels=5, integer=False)
+            x = random_assignment(p, rng)
+            assert qf.energy(p, x) == energy_by_resummation(p, x)
+
     def test_domain_violation_rejected(self):
         p = qf.Problem(1, 3, [[0]], [np.array([1.0, 0.0])])
         with pytest.raises(ValueError):
             qf.energy(p, np.array([2]))
+
+
+class TestValidation:
+    # Node 0 owns labels 0 and 1, node 1 owns label 0 (num_labels = 2).
+    # Each rejected label below would alias a real (node, label) slot if
+    # only the slot lookup were consulted.
+    PROBLEM = qf.Problem(2, 2, [[0, 1], [0]],
+                         [np.array([1.0, 2.0, 0.0]), np.array([3.0, 0.0])],
+                         {(0, 1): np.arange(6.0).reshape(3, 2)})
+
+    @pytest.mark.parametrize("x", [
+        [0, 1],            # label outside node 1's candidates
+        [-2, 0],           # below DUMMY
+        [0, -2],           # below DUMMY, aliases node 0's label 1
+        [2, 0],            # == num_labels, aliases node 0's dummy
+        [3, 0],            # > num_labels, aliases node 1's label 0
+        [0, 2],            # == num_labels, aliases node 1's dummy
+    ])
+    def test_rejects_labels_outside_the_candidates(self, x):
+        with pytest.raises(ValueError):
+            qf.validate_assignment(self.PROBLEM, np.array(x))
+        with pytest.raises(ValueError):
+            qf.energy(self.PROBLEM, np.array(x))
+
+    @pytest.mark.parametrize("x", [[0], [0, 0, 0], [[0, 0]]])
+    def test_rejects_wrong_length(self, x):
+        with pytest.raises(ValueError):
+            qf.validate_assignment(self.PROBLEM, np.array(x))
+
+    def test_accepts_every_candidate_and_dummy(self):
+        for x in ([0, 0], [1, 0], [qf.DUMMY, 0], [1, qf.DUMMY], [qf.DUMMY, qf.DUMMY]):
+            assert np.array_equal(qf.validate_assignment(self.PROBLEM, x), x)
+
+    def test_empty_problem(self):
+        p = qf.Problem(0, 3, [], [])
+        assert qf.energy(p, np.zeros(0, dtype=np.int64)) == 0.0
+        with pytest.raises(ValueError):
+            qf.validate_assignment(p, [0])
+
+    def test_costs_are_read_only(self):
+        p = self.PROBLEM
+        with pytest.raises(ValueError):
+            p.pairwise[(0, 1)][0, 0] = 9.0
+        with pytest.raises(ValueError):
+            p.unary[0][0] = 9.0
+        with pytest.raises(ValueError):
+            p.table_buffer[0] = 9.0
 
 
 class TestFeasibility:

@@ -1,4 +1,5 @@
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,6 +69,37 @@ class TestSolve:
         qf.write_trace(first.trace, buf1)
         qf.write_trace(second.trace, buf2)
         assert buf1.getvalue() == buf2.getvalue()
+
+    @pytest.mark.parametrize("heuristic", ["greedy", "lap"])
+    def test_trace_matches_golden_file(self, heuristic):
+        # The files were written by the edge-by-edge sweep that preceded the
+        # level-scheduled one; the ascent trajectory must not move.
+        p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
+        cfg = qf.SolverConfig(max_batches=12, seed=5, primal_heuristic=heuristic)
+        buffer = io.StringIO()
+        qf.write_trace(qf.solve(p, cfg).trace, buffer)
+        golden = Path(__file__).parent / "data" / f"golden_trace_{heuristic}.csv"
+        assert buffer.getvalue().encode() == golden.read_bytes()
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_optimality_claim_is_scale_invariant(self, scale):
+        def scaled(p):
+            return qf.Problem(p.num_nodes, p.num_labels, p.candidate_labels,
+                              [c * scale for c in p.unary],
+                              {e: t * scale for e, t in p.pairwise.items()})
+
+        rng = np.random.default_rng(90)
+        problems = [random_problem(rng, max_nodes=8, min_nodes=7, integer=False,
+                                   edge_prob=0.7) for _ in range(10)]
+        problems.append(geometric_matching_instance(3, n=12, noise=0.3, outliers=3)[0])
+        cfg = qf.SolverConfig(max_batches=8, seed=1)
+        proved = set()
+        for p in problems:
+            base, other = qf.solve(p, cfg), qf.solve(scaled(p), cfg)
+            assert other.proved_optimal == base.proved_optimal
+            assert other.trace[-1].iteration == base.trace[-1].iteration
+            proved.add(base.proved_optimal)
+        assert proved == {True, False}
 
     def test_lap_primal_heuristic(self):
         rng = np.random.default_rng(13)
