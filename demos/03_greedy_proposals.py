@@ -21,7 +21,7 @@ problem = qf.Problem(n, L, candidates, unary, pairwise)
 print("greedy on original costs:")
 energies = []
 for seed in range(10):
-    x = qf.greedy_assignment(qf.OriginalCosts(problem), seed)
+    x = qf.greedy_assignment(problem, seed)
     energies.append(qf.energy(problem, x))
     print(f"  seed {seed}: energy {energies[-1]:8.3f}  {x}")
 print(f"best of 10: {min(energies):.3f}")
@@ -33,14 +33,13 @@ for _ in range(20):
 print(f"dual bound: {state.dual_bound:.3f}")
 energies = []
 for seed in range(10):
-    x = qf.greedy_on_reparametrized(problem, state.repar, seed)
+    x = qf.greedy_assignment(problem, seed, state.repar)
     energies.append(qf.energy(problem, x))
     print(f"  seed {seed}: energy {energies[-1]:8.3f}")
 print(f"best of 10: {min(energies):.3f}  (bound is a floor: {state.dual_bound:.3f})")
 
 # The assignment-side LAP solution is the deterministic alternative
 # proposal: one per dual state, high quality but no diversity.
-lap_inst = qf.LapInstance.from_reparametrization(problem, state.repar)
-lap_x, lap_value = qf.solve_lap(lap_inst)
+lap_x, lap_value = qf.solve_lap(problem, qf.assignment_side(problem, state.repar))
 print(f"\nLAP proposal: energy {qf.energy(problem, lap_x):.3f} "
       f"(assignment-side value {lap_value:.3f}), feasible: {qf.is_feasible(problem, lap_x)}")

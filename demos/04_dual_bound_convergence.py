@@ -28,7 +28,7 @@ for k in range(1, 31):
         print(f"sweep {k:2d}: bound {state.dual_bound:10.4f}  (+{gain:.2e})")
 
 # A greedy solution gives the matching upper bound.
-best = min(qf.energy(problem, qf.greedy_on_reparametrized(problem, state.repar, s))
+best = min(qf.energy(problem, qf.greedy_assignment(problem, s, state.repar))
            for s in range(50))
 print(f"\nbest greedy energy over 50 seeds: {best:.4f}")
 print(f"gap to bound: {best - state.dual_bound:.4f}")

@@ -18,8 +18,7 @@ pairwise = {(u, v): rng.uniform(-1.5, 1.5, (L + 1, L + 1))
             for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5}
 problem = qf.Problem(n, L, candidates, unary, pairwise)
 
-proposals = [qf.greedy_assignment(qf.OriginalCosts(problem), seed)
-             for seed in range(12)]
+proposals = [qf.greedy_assignment(problem, seed) for seed in range(12)]
 print("proposal energies:",
       " ".join(f"{qf.energy(problem, x):7.2f}" for x in proposals))
 

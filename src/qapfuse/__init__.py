@@ -12,6 +12,7 @@ from .model import (
     Problem,
     Reparametrization,
     all_dummy,
+    assignment_side,
     energy,
     is_feasible,
     lap_unary,
@@ -36,13 +37,8 @@ from .ddio import (
     write_proposals,
     write_trace,
 )
-from .greedy import (
-    OriginalCosts,
-    ReparametrizedCosts,
-    greedy_assignment,
-    greedy_on_reparametrized,
-)
-from .lap import LapInstance, label_min_term, solve_lap
+from .greedy import greedy_assignment
+from .lap import label_min_term, solve_lap
 from .dualbca import (
     DualState,
     dual_bound,
@@ -64,16 +60,15 @@ from .solver import SolveOutcome, SolverConfig, fuse_sequence, solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "DUMMY", "Problem", "Reparametrization", "all_dummy", "energy", "is_feasible",
+    "DUMMY", "Problem", "Reparametrization", "all_dummy", "assignment_side",
+    "energy", "is_feasible",
     "lap_unary", "lap_unary_vector", "reparametrized_pairwise",
     "reparametrized_pairwise_table", "reparametrized_unary",
     "reparametrized_unary_vector", "validate_assignment",
     "DdAssignment", "DdInstance", "DdPairwiseTerm", "ParseError",
     "SolverTraceRecord", "parse_dd", "parse_proposals", "read_trace",
     "to_problem", "write_dd", "write_proposals", "write_trace",
-    "OriginalCosts", "ReparametrizedCosts", "greedy_assignment",
-    "greedy_on_reparametrized",
-    "LapInstance", "label_min_term", "solve_lap",
+    "greedy_assignment", "label_min_term", "solve_lap",
     "DualState", "dual_bound", "sweep", "update_edge_messages",
     "update_label_messages", "update_node_messages",
     "MaxFlow", "QpboResult", "roof_duality",

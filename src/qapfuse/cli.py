@@ -12,7 +12,7 @@ import sys
 import time
 
 from .ddio import ParseError, parse_dd, parse_proposals, to_problem, write_proposals, write_trace
-from .fusion import count_bound
+from .fusion import MAX_EXACT_VARIABLES, build_fusion, count_bound, penalty_free_labelings
 from .model import DUMMY, is_feasible
 from .solver import SolverConfig, fuse_sequence, solve
 
@@ -124,18 +124,9 @@ def run_bound(args):
     bound = count_bound(problem, x2)
     line = f"m={m} n={n} bound={'overflow' if bound is None else bound}"
 
-    free = [u for u in range(problem.num_nodes) if x1[u] != x2[u]]
-    if 2 ** len(free) <= 2 ** 20:
-        from .fusion import build_fusion
-        fp = build_fusion(problem, x1, x2)
-        count = 0
-        bits = [0] * fp.num_variables
-        for code in range(2 ** fp.num_variables):
-            for i in range(fp.num_variables):
-                bits[i] = (code >> i) & 1
-            if fp.violation_count(bits) == 0:
-                count += 1
-        line += f" count={count}"
+    fp = build_fusion(problem, x1, x2)
+    if fp.num_variables <= MAX_EXACT_VARIABLES:
+        line += f" count={sum(1 for _ in penalty_free_labelings(fp))}"
     print(line)
     return 0
 

@@ -28,21 +28,22 @@ touches only its own slots, so each family is one segment reduction.
 
 A :func:`sweep` runs the edge levels in order, which performs exactly the
 updates of the lexicographic edge loop (see :class:`qapfuse.model.Problem`),
-optionally emits primal proposals from the current reparametrized costs,
-then runs the node and label updates, and re-evaluates the bound.
+then the node and label updates, and re-evaluates the bound.  The solver
+makes its proposals between the two phases, through the sweep's ``between``
+hook.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greedy import greedy_on_reparametrized
 from .lap import label_min_term
 from .model import DUMMY, Reparametrization, assignment_side, matching_side, sequential_sum
 
-# A full sweep may lower the bound by at most this much before we call it
-# a bug and abort.
-MONOTONICITY_SLACK = 1e-7
+# A full sweep may lower the bound by at most this share of the larger of
+# the largest cost magnitude and |bound| (rounding grows with both) before
+# we call it a bug and abort.
+MONOTONICITY_SLACK = 1e-9
 
 
 def dual_bound(problem, repar):
@@ -143,41 +144,28 @@ class DualState:
         return cls(repar=repar, dual_bound=dual_bound(problem, repar))
 
 
-def sweep(problem, state, emit=None, *, rng=None, num_proposals=1,
-          proposal_fn=None, observer=None):
+def sweep(problem, state, between=None):
     """One full ascent pass; the bound never decreases across it.
 
     Edge updates run level by level, which equals the lexicographic edge
-    order.  If ``emit`` is given, ``num_proposals`` assignments are
-    generated between the edge and node/label phases (by
-    ``proposal_fn(problem, repar, rng)``, defaulting to greedy on the
-    reparametrized costs) and handed to ``emit``.
-    ``observer``, if given, is called with the phase tokens "edge-sweep",
-    "proposal" and "label-sweep" as each phase completes.
+    order.  ``between``, if given, is called with no arguments once the
+    edge phase is done and before the node and label updates.
     """
     before = state.dual_bound
 
     for level in range(len(problem.levels)):
         update_edge_messages(problem, state.repar, level)
-    if observer is not None:
-        observer("edge-sweep")
-
-    if emit is not None:
-        make = proposal_fn if proposal_fn is not None else greedy_on_reparametrized
-        for _ in range(num_proposals):
-            emit(make(problem, state.repar, rng))
-            if observer is not None:
-                observer("proposal")
+    if between is not None:
+        between()
 
     update_node_messages(problem, state.repar)
     update_label_messages(problem, state.repar)
 
     state.dual_bound = dual_bound(problem, state.repar)
     state.sweep_counter += 1
-    if observer is not None:
-        observer("label-sweep")
 
-    if state.dual_bound < before - MONOTONICITY_SLACK:
+    slack = MONOTONICITY_SLACK * max(problem.cost_scale, abs(before))
+    if state.dual_bound < before - slack:
         raise RuntimeError(
             f"dual bound decreased across sweep {state.sweep_counter}: "
             f"{before!r} -> {state.dual_bound!r}")

@@ -197,24 +197,33 @@ def solve_qpbo(fp):
                         constant=fp.base_energy)
 
 
-def _enumerate_exact(fp):
-    """Feasible optimum of the auxiliary problem by enumeration."""
+def penalty_free_labelings(fp):
+    """Every binary labeling of the auxiliary problem that activates no
+    uniqueness penalty, in bit-code order (bit i of the code labels
+    variable i), so the all-zeros labeling comes first.
+
+    One array is yielded over and over; copy it to keep a labeling.
+    """
     k = fp.num_variables
     if k > MAX_EXACT_VARIABLES:
         raise ValueError(
             f"exact fusion supports at most {MAX_EXACT_VARIABLES} free variables, got {k}")
-    best_bits = np.zeros(k, dtype=np.int64)
-    best_value = fp.binary_energy(best_bits)  # all-zeros = incumbent, feasible
     bits = np.zeros(k, dtype=np.int64)
-    for code in range(1, 2**k):
+    for code in range(2**k):
         for i in range(k):
             bits[i] = (code >> i) & 1
-        if fp.violation_count(bits):
-            continue
+        if not fp.violation_count(bits):
+            yield bits
+
+
+def _enumerate_exact(fp):
+    """Feasible optimum of the auxiliary problem by enumeration: the first
+    strict minimum in bit-code order."""
+    best_bits, best_value = None, np.inf
+    for bits in penalty_free_labelings(fp):
         value = fp.binary_energy(bits)
         if value < best_value:
-            best_value = value
-            best_bits = bits.copy()
+            best_value, best_bits = value, bits.copy()
     return best_bits
 
 

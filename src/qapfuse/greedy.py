@@ -6,9 +6,10 @@ takes the cheapest still-available label (or the dummy), counting its unary
 cost plus pairwise costs to already-assigned neighbors.  Labels taken by
 earlier nodes are excluded, so the result is feasible by construction.
 
-The same routine runs on original costs or on the reparametrized cost view
-of a dual state; in the latter case proposals improve as the dual bound
-does, while their quality is still judged by original energy.
+The same routine runs on the original costs or, given a dual state, on its
+reparametrized costs (matching-side unaries and message-adjusted edge
+tables); in the latter case proposals improve as the dual bound does,
+while their quality is still judged by original energy.
 
 Randomness comes from numpy's PCG64 generator, seeded explicitly, so runs
 are reproducible across platforms.  Frontier sampling is uniform over the
@@ -17,60 +18,20 @@ sorted frontier; insertion order cannot bias selection.
 
 import numpy as np
 
-from .model import DUMMY, reparametrized_unary_vector
+from .model import DUMMY, matching_side
 
 
-class OriginalCosts:
-    """Cost view over the instance's own unary/pairwise costs."""
-
-    def __init__(self, problem):
-        self.problem = problem
-
-    def unary_vector(self, u):
-        return self.problem.unary[u]
-
-    def pairwise_column(self, u, v, t_local):
-        """Costs over u's labels (dummy last) against v fixed at t_local."""
-        return self.problem.pairwise_table(u, v)[:, t_local]
-
-
-class ReparametrizedCosts:
-    """Cost view through a Reparametrization (matching-side unaries and
-    message-adjusted edge tables).
-
-    Unary views are cached on first use: treat an instance as a snapshot
-    and build a fresh one after mutating the messages.
-    """
-
-    def __init__(self, problem, repar):
-        self.problem = problem
-        self.repar = repar
-        self._unary = None
-
-    def unary_vector(self, u):
-        if self._unary is None:
-            self._unary = [None] * self.problem.num_nodes
-        if self._unary[u] is None:
-            self._unary[u] = reparametrized_unary_vector(self.problem, self.repar, u)
-        return self._unary[u]
-
-    def pairwise_column(self, u, v, t_local):
-        table = self.problem.pairwise_table(u, v)
-        msg_u = self.repar.edge_msg[(u, v)]
-        msg_v = self.repar.edge_msg[(v, u)]
-        return table[:, t_local] + msg_u + msg_v[t_local]
-
-
-def greedy_assignment(costs, rng):
-    """Run the greedy construction over a cost view.
+def greedy_assignment(problem, rng, repar=None):
+    """Run the greedy construction on the original costs, or on the costs
+    reparametrized by ``repar`` when it is given.
 
     ``rng`` is an int seed or a numpy Generator.  Ties in the label argmin
     go to the lowest label id; the dummy loses every tie against a real
     label.  Returns a feasible assignment.
     """
     rng = np.random.default_rng(rng)
-    problem = costs.problem
     n = problem.num_nodes
+    unary = problem.unary_flat if repar is None else matching_side(problem, repar)
 
     labels = np.full(n, DUMMY, dtype=np.int64)
     local = np.empty(n, dtype=np.int64)
@@ -86,10 +47,14 @@ def greedy_assignment(costs, rng):
             pool = [u for u in range(n) if not assigned[u]]
         u = pool[int(rng.integers(len(pool)))]
 
-        totals = costs.unary_vector(u).copy()
+        totals = unary[problem.offsets[u]:problem.offsets[u + 1]].copy()
         for v in problem.neighbors[u]:
             if assigned[v]:
-                totals = totals + costs.pairwise_column(u, v, local[v])
+                t = local[v]
+                column = problem.pairwise_table(u, v)[:, t]
+                if repar is not None:
+                    column = column + repar.edge_msg[(u, v)] + repar.edge_msg[(v, u)][t]
+                totals = totals + column
         k = problem.num_candidates(u)
         blocked = [i for i, s in enumerate(problem.candidate_labels[u]) if int(s) in used]
         if blocked:
@@ -116,9 +81,3 @@ def greedy_assignment(costs, rng):
                 frontier.add(v)
 
     return labels
-
-
-def greedy_on_reparametrized(problem, repar, rng):
-    """Greedy over the dual cost view; callers judge the result by
-    original energy."""
-    return greedy_assignment(ReparametrizedCosts(problem, repar), rng)

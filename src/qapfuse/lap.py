@@ -8,52 +8,33 @@ bound: per label, the cheapest owner is taken when negative, dropping the
 one-label-per-node coupling, so it can only underestimate the LAP optimum.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import DUMMY, assignment_side, lap_unary_vector, sequential_sum
+from .model import DUMMY, assignment_side, sequential_sum
 
 
-@dataclass
-class LapInstance:
-    """Assignment-side costs: per node, one cost per candidate label.
+def solve_lap(problem, costs):
+    """Exact minimum of the linear assignment over ``problem``'s candidates.
 
-    The dummy option always exists and costs 0.
+    ``costs`` holds one cost per slot of the problem, such as
+    ``assignment_side(problem, repar)``; the dummy slots are ignored, as
+    the dummy always costs 0.  Returns ``(assignment, value)`` where the
+    assignment maps each node to a candidate label or DUMMY and no label
+    repeats.  Solved by the Hungarian-class solver in scipy on a
+    rectangular matrix with one zero-cost dummy column per node.
     """
-    num_nodes: int
-    num_labels: int
-    candidate_labels: list
-    costs: list
-
-    @classmethod
-    def from_reparametrization(cls, problem, repar):
-        costs = [lap_unary_vector(problem, repar, u)[:problem.num_candidates(u)]
-                 for u in range(problem.num_nodes)]
-        return cls(problem.num_nodes, problem.num_labels,
-                   [np.asarray(c) for c in problem.candidate_labels], costs)
-
-
-def solve_lap(instance):
-    """Exact minimum of the linear assignment instance.
-
-    Returns ``(assignment, value)`` where the assignment maps each node to
-    a candidate label or DUMMY and no label repeats.  Solved by the
-    Hungarian-class solver in scipy on a rectangular matrix with one
-    zero-cost dummy column per node.
-    """
-    n, L = instance.num_nodes, instance.num_labels
+    n, L = problem.num_nodes, problem.num_labels
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0.0
 
-    blocked = 1.0 + sum(float(np.abs(np.asarray(c)).sum()) for c in instance.costs)
+    spans = zip(problem.offsets[:-1].tolist(), problem.offsets[1:].tolist())
+    blocked = 1.0 + sum(float(np.abs(costs[a:b - 1]).sum()) for a, b in spans)
     matrix = np.full((n, L + n), blocked)
-    for u in range(n):
-        matrix[u, L + u] = 0.0  # private dummy column
-        cand = instance.candidate_labels[u]
-        if len(cand):
-            matrix[u, np.asarray(cand, dtype=np.int64)] = instance.costs[u]
+    matrix[np.arange(n), L + np.arange(n)] = 0.0  # private dummy columns
+    node = np.repeat(np.arange(n), np.diff(problem.offsets))
+    real = problem.slot_labels != DUMMY
+    matrix[node[real], problem.slot_labels[real]] = costs[real]
 
     rows, cols = linear_sum_assignment(matrix)
     labels = np.full(n, DUMMY, dtype=np.int64)
@@ -63,9 +44,8 @@ def solve_lap(instance):
             # A non-candidate (blocked) cell can never be optimal: the
             # private dummy column is always available at cost 0.
             assert matrix[u, c] != blocked
-            pos = int(np.searchsorted(np.asarray(instance.candidate_labels[u]), c))
             labels[u] = c
-            value += float(instance.costs[u][pos])
+            value += float(costs[problem.offsets[u] + problem.local_index(u, c)])
     return labels, value
 
 

@@ -187,10 +187,6 @@ class Problem:
     def num_candidates(self, u):
         return self.candidate_labels[u].size
 
-    def dummy_index(self, u):
-        """Row/column index of the dummy in node u's cost vectors."""
-        return self.candidate_labels[u].size
-
     def local_index(self, u, s):
         """Map a global label (or DUMMY) to node u's local index."""
         cand = self.candidate_labels[u]
@@ -311,12 +307,6 @@ class Reparametrization:
                     self.edge_msg[(u, v)], self.edge_msg[(v, u)] = msg_u, msg_v
         offsets = problem.offsets.tolist()
         self.label_msg = [self.label_flat[a:b] for a, b in zip(offsets, offsets[1:])]
-
-    def copy(self):
-        dup = Reparametrization(self.problem)
-        dup.edge_flat[:], dup.label_flat[:], dup.msg_sums[:] = (
-            self.edge_flat, self.label_flat, self.msg_sums)
-        return dup
 
     def batch_messages(self, table, mu, mv):
         """The (G, a) u-side and (G, b) v-side message views of one batch."""

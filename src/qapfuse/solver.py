@@ -1,13 +1,13 @@
 """Full pipeline: dual ascent sweeps, primal proposals, fusion moves.
 
 Each batch runs a fixed number of ascent sweeps; between the edge phase
-and the node/label phase of every sweep the configured primal heuristic
-(randomized greedy on reparametrized costs, or the exact assignment-side
-LAP solution) emits proposals, and each proposal is immediately fused into
-the incumbent.  The incumbent's energy is non-increasing, the dual bound
-non-decreasing, and the run stops on batch count, wall-clock budget, or a
-proved optimum (gap below 1e-6 of the larger of |energy| and the largest
-cost magnitude).
+and the node/label phase of every sweep the solver makes proposals with
+the configured primal heuristic (randomized greedy on reparametrized
+costs, or the exact assignment-side LAP solution) and fuses each one into
+the incumbent at once.  The incumbent's energy is non-increasing, the dual
+bound non-decreasing, and the run stops on batch count, wall-clock budget,
+or a proved optimum (gap below 1e-6 of the larger of |energy| and the
+largest cost magnitude).
 
 Traces are deterministic given the seed: elapsed time in trace records is
 a work-proportional virtual clock by default (so identical runs produce
@@ -23,9 +23,9 @@ from typing import Optional
 import numpy as np
 
 from .dualbca import DualState, sweep
-from .greedy import OriginalCosts, greedy_assignment
-from .lap import LapInstance, solve_lap
-from .model import all_dummy, energy, is_feasible, validate_assignment
+from .greedy import greedy_assignment
+from .lap import solve_lap
+from .model import all_dummy, assignment_side, energy, is_feasible, validate_assignment
 from .ddio import SolverTraceRecord
 from .fusion import fuse
 
@@ -70,17 +70,6 @@ class SolveOutcome:
     proved_optimal: bool
 
 
-class _VirtualClock:
-    def __init__(self):
-        self.work = 0.0
-
-    def advance(self, units):
-        self.work += units
-
-    def read(self):
-        return self.work / _WORK_RATE
-
-
 def solve(problem, config=None, *, trace_clock=None):
     """Run the full solver on a problem; returns a SolveOutcome."""
     config = config or SolverConfig()
@@ -89,27 +78,25 @@ def solve(problem, config=None, *, trace_clock=None):
     wall_start = time.perf_counter()
 
     pair_work, unary_work = problem.table_buffer.size, problem.unary_flat.size
-    vclock = None
-    if trace_clock is None:
-        vclock = _VirtualClock()
-        now = vclock.read
-    else:
+    fusion_work = 16.0 * problem.num_nodes + 64.0
+    if trace_clock is not None:
         start = trace_clock()
-        now = lambda: trace_clock() - start
-
+    work = 0.0
     trace = []
     state = DualState.initial(problem)
 
-    def record(event, best):
+    def record(event, best, units):
+        """Advance the virtual clock by ``units`` of work, then log the event."""
+        nonlocal work
+        work += units
+        elapsed = work / _WORK_RATE if trace_clock is None else trace_clock() - start
         trace.append(SolverTraceRecord(
-            iteration=state.sweep_counter, elapsed_seconds=now(),
+            iteration=state.sweep_counter, elapsed_seconds=elapsed,
             dual_bound=state.dual_bound, best_energy=best, event=event))
 
-    incumbent = greedy_assignment(OriginalCosts(problem), rng)
+    incumbent = greedy_assignment(problem, rng)
     best_energy = energy(problem, incumbent)
-    if vclock is not None:
-        vclock.advance(unary_work + pair_work / 4)
-    record("greedy", best_energy)
+    record("greedy", best_energy, unary_work + pair_work / 4)
 
     def proved():
         # Relative to the instance's largest cost when the energy is near 0,
@@ -117,35 +104,21 @@ def solve(problem, config=None, *, trace_clock=None):
         gap = best_energy - state.dual_bound
         return gap <= OPTIMALITY_TOLERANCE * max(problem.cost_scale, abs(best_energy))
 
-    proposal_fn = None
-    proposal_event = "greedy"
-    if config.primal_heuristic == "lap":
-        proposal_event = "lap"
-
-        def proposal_fn(p, repar, _rng):
-            return solve_lap(LapInstance.from_reparametrization(p, repar))[0]
-
-    def handle_proposal(proposal):
+    def propose_and_fuse():
         nonlocal incumbent, best_energy
-        if vclock is not None:
-            vclock.advance(unary_work + pair_work / 4)
-        record(proposal_event, best_energy)
-        fused = fuse(problem, incumbent, proposal, mode=config.fusion_mode, rng=rng)
-        fused_energy = energy(problem, fused)
-        if vclock is not None:
-            vclock.advance(16.0 * problem.num_nodes + 64.0)
-        if fused_energy < best_energy:
-            incumbent, best_energy = fused, fused_energy
-            record("improved", best_energy)
-        else:
-            record("fusion", best_energy)
-
-    def observe(phase):
-        if phase == "proposal":
-            return  # handle_proposal already recorded it
-        if vclock is not None:
-            vclock.advance(pair_work if phase == "edge-sweep" else 2.0 * unary_work)
-        record(phase, best_energy)
+        record("edge-sweep", best_energy, pair_work)
+        for _ in range(config.greedy_generations):
+            if config.primal_heuristic == "lap":
+                proposal = solve_lap(problem, assignment_side(problem, state.repar))[0]
+            else:
+                proposal = greedy_assignment(problem, rng, state.repar)
+            record(config.primal_heuristic, best_energy, unary_work + pair_work / 4)
+            fused = fuse(problem, incumbent, proposal, mode=config.fusion_mode, rng=rng)
+            fused_energy = energy(problem, fused)
+            improved = fused_energy < best_energy
+            if improved:
+                incumbent, best_energy = fused, fused_energy
+            record("improved" if improved else "fusion", best_energy, fusion_work)
 
     done = proved()
     for _ in range(config.max_batches):
@@ -155,9 +128,8 @@ def solve(problem, config=None, *, trace_clock=None):
                 and time.perf_counter() - wall_start > config.time_budget_seconds):
             break
         for _ in range(config.batch_size):
-            sweep(problem, state, emit=handle_proposal, rng=rng,
-                  num_proposals=config.greedy_generations,
-                  proposal_fn=proposal_fn, observer=observe)
+            sweep(problem, state, propose_and_fuse)
+            record("label-sweep", best_energy, 2.0 * unary_work)
         done = proved()
 
     gap = best_energy - state.dual_bound

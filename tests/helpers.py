@@ -146,19 +146,20 @@ def brute_force_optimum(problem):
     return best_value, best
 
 
-def lap_optimum_by_enumeration(instance):
-    """Exact LAP optimum over all partial injections (recursion, <= 7 nodes)."""
-    n = instance.num_nodes
+def lap_optimum_by_enumeration(problem, costs):
+    """Exact LAP optimum over all partial injections (recursion, <= 7 nodes);
+    ``costs`` holds one cost per slot of ``problem``, the dummy's unused."""
+    n = problem.num_nodes
 
     def rec(u, used):
         if u == n:
             return 0.0
         best = rec(u + 1, used)  # dummy
-        for i, s in enumerate(instance.candidate_labels[u]):
+        for i, s in enumerate(problem.candidate_labels[u]):
             s = int(s)
             if s not in used:
                 used.add(s)
-                best = min(best, float(instance.costs[u][i]) + rec(u + 1, used))
+                best = min(best, float(costs[problem.offsets[u] + i]) + rec(u + 1, used))
                 used.discard(s)
         return best
 
@@ -251,6 +252,13 @@ def enumerate_binary_energies(num_vars, unary, tables, constant=0.0):
             value += float(table[bits[i], bits[j]])
         energies[bits] = value
     return energies
+
+
+def scaled_problem(problem, scale):
+    """The same instance with every cost multiplied by ``scale``."""
+    return Problem(problem.num_nodes, problem.num_labels, problem.candidate_labels,
+                   [c * scale for c in problem.unary],
+                   {e: t * scale for e, t in problem.pairwise.items()})
 
 
 def geometric_matching_instance(seed, n=12, noise=0.05, outliers=2):

@@ -179,9 +179,9 @@ def test_criterion_6_lap_exactness():
     # enumeration over all partial injections.
     rng = np.random.default_rng(1006)
     for _ in range(200):
-        inst = random_lap_instance(rng, max_nodes=7)
-        labels, value = qf.solve_lap(inst)
-        assert value == pytest.approx(lap_optimum_by_enumeration(inst),
+        p, costs = random_lap_instance(rng, max_nodes=7)
+        labels, value = qf.solve_lap(p, costs)
+        assert value == pytest.approx(lap_optimum_by_enumeration(p, costs),
                                       rel=1e-9, abs=1e-9)
         used = [s for s in labels if s != qf.DUMMY]
         assert len(used) == len(set(used))

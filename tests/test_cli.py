@@ -114,7 +114,7 @@ class TestFuse:
         instance = tmp_path / "inst.dd"
         instance.write_text(text)
         problem = qf.to_problem(qf.parse_dd(text))
-        proposals = [qf.greedy_assignment(qf.OriginalCosts(problem), seed)
+        proposals = [qf.greedy_assignment(problem, seed)
                      for seed in range(10)]
         proposal_path = tmp_path / "props.txt"
         with open(proposal_path, "w") as handle:
@@ -164,8 +164,10 @@ class TestBound:
         assert code == 1
         assert "feasible" in out.err
 
-    def test_count_never_exceeds_bound(self, tmp_path, capsys):
-        rng = np.random.default_rng(77)
+    @staticmethod
+    def random_bound_runs(tmp_path, capsys, seed):
+        """(problem, x1, x2, output fields) of `bound` on ten random pairs."""
+        rng = np.random.default_rng(seed)
         from helpers import random_dd_text, random_feasible_assignment, random_assignment
         for _ in range(10):
             text = random_dd_text(rng, max_left=5, max_right=5)
@@ -179,8 +181,16 @@ class TestBound:
                 qf.write_proposals([x1, x2], handle)
             assert main(["bound", str(instance), str(proposals)]) == 0
             out = capsys.readouterr().out
-            parts = dict(p.split("=") for p in out.split())
+            yield problem, x1, x2, dict(p.split("=") for p in out.split())
+
+    def test_count_never_exceeds_bound(self, tmp_path, capsys):
+        for _, _, _, parts in self.random_bound_runs(tmp_path, capsys, 77):
             assert int(parts["count"]) <= int(parts["bound"])
+
+    def test_count_matches_enumeration_oracle(self, tmp_path, capsys):
+        from helpers import restricted_space_optimum
+        for problem, x1, x2, parts in self.random_bound_runs(tmp_path, capsys, 78):
+            assert int(parts["count"]) == restricted_space_optimum(problem, x1, x2)[1]
 
     def test_wrong_proposal_count_rejected(self, tmp_path, capsys):
         instance = tmp_path / "inst.dd"

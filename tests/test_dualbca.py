@@ -6,6 +6,7 @@ from helpers import (
     brute_force_optimum,
     random_problem,
     random_reparametrization,
+    scaled_problem,
 )
 
 
@@ -224,15 +225,36 @@ class TestSweep:
         qf.sweep(p, st)
         assert st.dual_bound == pytest.approx(opt, abs=1e-7)
 
-    def test_observer_sees_one_event_per_phase(self):
+    def test_between_runs_once_after_the_edge_phase(self):
         rng = np.random.default_rng(1)
         p = random_problem(rng, max_nodes=4, min_nodes=3, edge_prob=1.0)
-        events = []
+        after_edges = qf.Reparametrization(p)
+        for level in range(len(p.levels)):
+            qf.update_edge_messages(p, after_edges, level)
         st = qf.DualState.initial(p)
-        qf.sweep(p, st, emit=lambda x: None, rng=np.random.default_rng(0),
-                 observer=events.append)
-        assert events == ["edge-sweep", "proposal", "label-sweep"]
-        assert st.sweep_counter == 1
+        seen = []
+        qf.sweep(p, st, lambda: seen.append(
+            (st.repar.edge_flat.copy(), st.repar.label_flat.copy(), st.sweep_counter)))
+        assert len(seen) == 1
+        edge_msgs, label_msgs, counter = seen[0]
+        # every edge level has run, the node/label phase has not
+        assert np.any(edge_msgs != 0.0)
+        assert np.array_equal(edge_msgs, after_edges.edge_flat)
+        assert np.array_equal(label_msgs, after_edges.label_flat)
+        assert not np.array_equal(st.repar.label_flat, label_msgs)
+        assert counter == 0 and st.sweep_counter == 1
+
+    @pytest.mark.parametrize("scale", [1e-10, 1.0, 1e12])
+    def test_real_drop_raises_at_any_scale(self, scale):
+        # The chain is tight after two sweeps, so a third gains nothing and
+        # the planted excess of 1e-6 of the cost scale is a real drop.
+        p = scaled_problem(aligned_chain_problem(), scale)
+        st = qf.DualState.initial(p)
+        qf.sweep(p, st)
+        qf.sweep(p, st)
+        st.dual_bound += 1e-6 * p.cost_scale
+        with pytest.raises(RuntimeError, match="decreased across sweep 3"):
+            qf.sweep(p, st)
 
     def test_bound_monotone_across_sweeps(self):
         rng = np.random.default_rng(61)

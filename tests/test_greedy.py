@@ -9,7 +9,7 @@ from test_dualbca import aligned_chain_problem
 
 def test_single_node_unique_argmin():
     p = qf.Problem(1, 1, [[0]], [np.array([-1.0, 0.0])])
-    x = qf.greedy_assignment(qf.OriginalCosts(p), 0)
+    x = qf.greedy_assignment(p, 0)
     assert np.array_equal(x, [0])
 
 
@@ -19,7 +19,7 @@ def test_shared_label_forces_one_dummy():
                    [np.array([-1.0, 0.0]), np.array([-1.0, 0.0])])
     winners = set()
     for seed in range(20):
-        x = qf.greedy_assignment(qf.OriginalCosts(p), seed)
+        x = qf.greedy_assignment(p, seed)
         assert qf.is_feasible(p, x)
         assert sorted(x) == [qf.DUMMY, 0]
         winners.add(int(np.argmax(x == 0)))
@@ -33,7 +33,7 @@ def test_feasible_and_never_below_optimum():
         opt, _ = brute_force_optimum(p)
         best = np.inf
         for seed in range(1000):
-            x = qf.greedy_assignment(qf.OriginalCosts(p), seed)
+            x = qf.greedy_assignment(p, seed)
             assert qf.is_feasible(p, x)
             best = min(best, qf.energy(p, x))
         assert best >= opt - 1e-9
@@ -44,32 +44,32 @@ def test_deterministic_given_seed():
     p = random_problem(rng, max_nodes=6, min_nodes=4)
     r = qf.Reparametrization(p)
     for seed in (0, 1, 1234):
-        a = qf.greedy_assignment(qf.OriginalCosts(p), seed)
-        b = qf.greedy_assignment(qf.OriginalCosts(p), seed)
+        a = qf.greedy_assignment(p, seed)
+        b = qf.greedy_assignment(p, seed)
         assert np.array_equal(a, b)
-        c = qf.greedy_on_reparametrized(p, r, seed)
-        d = qf.greedy_on_reparametrized(p, r, seed)
+        c = qf.greedy_assignment(p, seed, r)
+        d = qf.greedy_assignment(p, seed, r)
         assert np.array_equal(c, d)
 
 
 def test_zero_messages_match_original_when_costs_scale_cleanly():
     # With no pairwise costs and zero dummy costs, halving the unaries
-    # preserves every argmin, so the zero-message reparametrized view picks
-    # exactly what the original-cost view picks.
+    # preserves every argmin, so the zero-message reparametrized costs pick
+    # exactly what the original costs pick.
     rng = np.random.default_rng(90)
     for _ in range(20):
         p = random_problem(rng, max_nodes=6, min_nodes=2, edge_prob=0.0,
                            dummy_cost=0.0)
         r = qf.Reparametrization(p)
         for seed in range(10):
-            a = qf.greedy_assignment(qf.OriginalCosts(p), seed)
-            b = qf.greedy_on_reparametrized(p, r, seed)
+            a = qf.greedy_assignment(p, seed)
+            b = qf.greedy_assignment(p, seed, r)
             assert np.array_equal(a, b)
 
 
 def test_dummy_loses_ties_and_low_label_wins():
     p = qf.Problem(1, 3, [[0, 1, 2]], [np.array([0.0, 0.0, 1.0, 0.0])])
-    x = qf.greedy_assignment(qf.OriginalCosts(p), 0)
+    x = qf.greedy_assignment(p, 0)
     assert x[0] == 0  # labels 0, 1 and dummy tie at 0; lowest real label wins
 
 
@@ -80,7 +80,7 @@ def test_reparametrized_proposals_always_feasible():
         st = qf.DualState.initial(p)
         qf.sweep(p, st)
         for seed in range(10):
-            x = qf.greedy_on_reparametrized(p, st.repar, seed)
+            x = qf.greedy_assignment(p, seed, st.repar)
             assert qf.is_feasible(p, x)
 
 
@@ -95,36 +95,28 @@ def test_converged_duals_make_greedy_exact():
         qf.sweep(p, st)
     assert st.dual_bound == pytest.approx(opt, abs=1e-7)
     for seed in range(100):
-        x = qf.greedy_on_reparametrized(p, st.repar, seed)
+        x = qf.greedy_assignment(p, seed, st.repar)
         assert np.array_equal(x, xopt)
 
 
-class _RecordingCosts(qf.OriginalCosts):
-    """Cost view that records the order nodes are labeled in (the greedy
-    loop queries each node's unary vector exactly once, when visiting it)."""
-
-    def __init__(self, problem):
-        super().__init__(problem)
-        self.visits = []
-
-    def unary_vector(self, u):
-        self.visits.append(u)
-        return super().unary_vector(u)
-
-
 def test_frontier_discipline():
-    # Replay: every visited node after the first must touch the already
-    # visited set whenever any unvisited node does.
+    # Candidates 0..n-1 at unary cost label - n, a free dummy and zero tables
+    # on a random graph's edges: each visited node takes the lowest label not
+    # yet used, so the labels are the visit order.  Replay: every visited
+    # node after the first must touch the already visited set whenever any
+    # unvisited node does.
     rng = np.random.default_rng(70)
     for _ in range(20):
-        p = random_problem(rng, max_nodes=7, min_nodes=4, edge_prob=0.5)
-        view = _RecordingCosts(p)
-        qf.greedy_assignment(view, 3)
+        graph = random_problem(rng, max_nodes=7, min_nodes=4, edge_prob=0.5)
+        n = graph.num_nodes
+        p = qf.Problem(n, n, [range(n)] * n, [np.append(np.arange(n) - n, 0.0)] * n,
+                       {edge: np.zeros((n + 1, n + 1)) for edge in graph.edges})
+        x = qf.greedy_assignment(p, 3)
+        assert sorted(x) == list(range(n))
         seen = set()
-        for u in view.visits:
+        for u in np.argsort(x):
             if seen:
                 frontier = {w for v in seen for w in p.neighbors[v]} - seen
                 if frontier:
                     assert u in frontier
             seen.add(u)
-        assert seen == set(range(p.num_nodes))

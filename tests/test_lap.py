@@ -10,6 +10,8 @@ from helpers import (
 
 
 def random_lap_instance(rng, max_nodes=7, max_labels=6):
+    """A problem whose unary costs are the LAP costs (dummy 0), and those
+    costs, one per slot."""
     n = int(rng.integers(1, max_nodes + 1))
     num_labels = int(rng.integers(1, max_labels + 1))
     candidates, costs = [], []
@@ -17,31 +19,32 @@ def random_lap_instance(rng, max_nodes=7, max_labels=6):
         k = int(rng.integers(0, num_labels + 1))
         cand = sorted(rng.choice(num_labels, size=k, replace=False).tolist())
         candidates.append(cand)
-        costs.append(rng.uniform(-9, 9, size=k))
-    return qf.LapInstance(n, num_labels, candidates, costs)
+        costs.append(np.append(rng.uniform(-9, 9, size=k), 0.0))
+    p = qf.Problem(n, num_labels, candidates, costs)
+    return p, p.unary_flat
 
 
 class TestSolveLap:
     def test_all_positive_costs_go_dummy(self):
-        inst = qf.LapInstance(2, 2, [[0, 1], [0]],
-                              [np.array([1.0, 2.0]), np.array([3.0])])
-        labels, value = qf.solve_lap(inst)
+        p = qf.Problem(2, 2, [[0, 1], [0]],
+                       [np.array([1.0, 2.0, 0.0]), np.array([3.0, 0.0])])
+        labels, value = qf.solve_lap(p, p.unary_flat)
         assert value == 0.0
         assert np.array_equal(labels, [qf.DUMMY, qf.DUMMY])
 
     def test_shared_label_goes_to_cheaper_node(self):
-        inst = qf.LapInstance(2, 1, [[0], [0]],
-                              [np.array([-5.0]), np.array([-3.0])])
-        labels, value = qf.solve_lap(inst)
+        p = qf.Problem(2, 1, [[0], [0]],
+                       [np.array([-5.0, 0.0]), np.array([-3.0, 0.0])])
+        labels, value = qf.solve_lap(p, p.unary_flat)
         assert value == -5.0
         assert labels[0] == 0 and labels[1] == qf.DUMMY
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(70)
         for _ in range(200):
-            inst = random_lap_instance(rng)
-            labels, value = qf.solve_lap(inst)
-            assert value == pytest.approx(lap_optimum_by_enumeration(inst),
+            p, costs = random_lap_instance(rng)
+            labels, value = qf.solve_lap(p, costs)
+            assert value == pytest.approx(lap_optimum_by_enumeration(p, costs),
                                           rel=1e-9, abs=1e-9)
             used = [s for s in labels if s != qf.DUMMY]
             assert len(used) == len(set(used))
@@ -49,20 +52,20 @@ class TestSolveLap:
     def test_value_matches_returned_labels(self):
         rng = np.random.default_rng(71)
         for _ in range(50):
-            inst = random_lap_instance(rng)
-            labels, value = qf.solve_lap(inst)
+            p, costs = random_lap_instance(rng)
+            labels, value = qf.solve_lap(p, costs)
             recomputed = 0.0
             for u, s in enumerate(labels):
                 if s != qf.DUMMY:
-                    pos = inst.candidate_labels[u].index(int(s))
-                    recomputed += float(inst.costs[u][pos])
+                    pos = p.candidate_labels[u].tolist().index(int(s))
+                    recomputed += float(p.unary[u][pos])
             assert value == pytest.approx(recomputed, abs=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(72)
-        inst = random_lap_instance(rng)
-        a = qf.solve_lap(inst)
-        b = qf.solve_lap(inst)
+        p, costs = random_lap_instance(rng)
+        a = qf.solve_lap(p, costs)
+        b = qf.solve_lap(p, costs)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
@@ -100,6 +103,5 @@ class TestLabelMinTerm:
         for _ in range(100):
             p = random_problem(rng, max_nodes=6)
             r = random_reparametrization(p, rng)
-            inst = qf.LapInstance.from_reparametrization(p, r)
-            _, lap_value = qf.solve_lap(inst)
+            _, lap_value = qf.solve_lap(p, qf.assignment_side(p, r))
             assert qf.label_min_term(p, r) <= lap_value + 1e-9

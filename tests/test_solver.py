@@ -11,6 +11,7 @@ from helpers import (
     random_assignment,
     random_feasible_assignment,
     random_problem,
+    scaled_problem,
 )
 
 
@@ -83,11 +84,6 @@ class TestSolve:
 
     @pytest.mark.parametrize("scale", [1e-10, 1e10])
     def test_optimality_claim_is_scale_invariant(self, scale):
-        def scaled(p):
-            return qf.Problem(p.num_nodes, p.num_labels, p.candidate_labels,
-                              [c * scale for c in p.unary],
-                              {e: t * scale for e, t in p.pairwise.items()})
-
         rng = np.random.default_rng(90)
         problems = [random_problem(rng, max_nodes=8, min_nodes=7, integer=False,
                                    edge_prob=0.7) for _ in range(10)]
@@ -95,11 +91,19 @@ class TestSolve:
         cfg = qf.SolverConfig(max_batches=8, seed=1)
         proved = set()
         for p in problems:
-            base, other = qf.solve(p, cfg), qf.solve(scaled(p), cfg)
+            base, other = qf.solve(p, cfg), qf.solve(scaled_problem(p, scale), cfg)
             assert other.proved_optimal == base.proved_optimal
             assert other.trace[-1].iteration == base.trace[-1].iteration
             proved.add(base.proved_optimal)
         assert proved == {True, False}
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e9, 1e12])
+    def test_monotonicity_check_is_scale_invariant(self, scale):
+        # Rounding of the bound grows with the cost scale: a fixed absolute
+        # slack raised a false alarm at sweep 85 with costs x 1e9.
+        p, _ = geometric_matching_instance(9, n=12, noise=0.3, outliers=3)
+        outcome = qf.solve(scaled_problem(p, scale), qf.SolverConfig(max_batches=100, seed=0))
+        assert outcome.trace[-1].iteration == 100
 
     def test_lap_primal_heuristic(self):
         rng = np.random.default_rng(13)
