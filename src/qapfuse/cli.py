@@ -12,8 +12,9 @@ import sys
 import time
 
 from .ddio import ParseError, parse_dd, parse_proposals, to_problem, write_proposals, write_trace
-from .fusion import MAX_EXACT_VARIABLES, build_fusion, count_bound, penalty_free_labelings
-from .model import DUMMY, is_feasible
+from .fusion import (MAX_EXACT_VARIABLES, build_fusion, count_bound, penalty_free_labelings,
+                     proposal_counts)
+from .model import is_feasible
 from .solver import SolverConfig, fuse_sequence, solve
 
 
@@ -119,8 +120,7 @@ def run_bound(args):
     if not is_feasible(problem, x1):
         raise ValueError("the first assignment must be feasible")
 
-    m = sum(1 for s in x2 if s == DUMMY)
-    n = len({int(s) for s in x2 if s != DUMMY})
+    m, n = proposal_counts(problem, x2)
     bound = count_bound(problem, x2)
     line = f"m={m} n={n} bound={'overflow' if bound is None else bound}"
 

@@ -3,20 +3,27 @@
 Fusing an incumbent x1 (must be feasible) with an arbitrary proposal x2
 restricts every node to the two-label set {x1_u, x2_u}.  Nodes where the
 proposals agree are folded away into a constant and into their neighbors'
-unary costs.  Uniqueness is enforced inside the auxiliary problem by a
-large penalty on every cell that would give one non-dummy label to two
-nodes: between two free variables the penalty sits in their (possibly
-newly created) 2x2 table, between a free variable and a folded node it
-lands on the free variable's unary side.  The incumbent's side is binary 0
-and the proposal's side binary 1, so the all-zeros labeling decodes to x1
-and is penalty-free.
+unary costs; the terms are gathered from the problem's flat arrays as
+:func:`~qapfuse.model.energy` gathers them.  The incumbent's side is
+binary 0 and the proposal's side binary 1, so the all-zeros labeling
+decodes to x1.
 
-The auxiliary problem is solved either exactly (enumeration, the
-desk-scale oracle) or by roof duality plus a seeded 1-swap improvement
-pass ("qpbo-i").  Either way the result is feasible and never worse than
-x1 (nor than x2 when x2 is feasible): one active penalty exceeds any
-possible energy difference, so the final energy check can always fall
-back to x1.
+Feasibility has one rule: a labeling is feasible exactly when its decode
+repeats no non-dummy label (:func:`~qapfuse.model.labels_distinct`).
+Inside the auxiliary problem that rule becomes a penalty on every cell
+that would give one label to two nodes: between two free variables it
+sits in their (possibly newly created) 2x2 table, between a free variable
+and a folded node on the free variable's unary side.  The penalty is local
+to each fusion: 1 + the sum of the ranges of the auxiliary problem's own
+unary rows and tables, so it exceeds the energy difference of any two
+labelings, and costs between folded nodes do not touch it.
+
+The auxiliary problem is solved either exactly (enumeration of the
+feasible decodes, the desk-scale oracle) or by roof duality plus a seeded
+1-swap improvement pass ("qpbo-i").  Either way the result is feasible and
+never worse than x1 (nor than x2 when x2 is feasible): one active penalty
+exceeds any possible energy difference, so the final energy check can
+always fall back to x1.
 
 :func:`count_bound` bounds the number of feasible solutions of the
 auxiliary problem: with m dummies and n distinct non-dummy labels in the
@@ -28,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import DUMMY, energy, is_feasible, validate_assignment
+from .model import DUMMY, energy, labels_distinct, sequential_sum, validate_assignment
 from .qpbo import roof_duality
 
 MAX_EXACT_VARIABLES = 20
@@ -39,22 +46,19 @@ _COUNT_SATURATION = 2**63 - 1
 class FusionProblem:
     """Two-label auxiliary problem over the disagreeing nodes.
 
-    ``unary`` has one (cost0, cost1) row per free variable, penalties
-    included; ``tables`` maps free-variable index pairs (i < j) to 2x2
-    cost tables, penalties included.  ``unary_penalties``/
-    ``table_penalties`` count how many uniqueness penalties each cell
-    carries, so feasibility of a binary labeling is exact bookkeeping, not
-    a magnitude test.  ``base_energy`` collects all folded-away costs.
+    ``free_nodes`` are the nodes where incumbent and proposal differ, in
+    node order; variable i decides node ``free_nodes[i]``.  ``unary`` has
+    one (cost0, cost1) row per free variable and ``tables`` maps
+    free-variable index pairs (i < j) to 2x2 cost tables, penalties
+    included.  ``base_energy`` collects all folded-away costs and
+    ``big_cost`` is the uniqueness penalty.
     """
     problem: object
     incumbent: np.ndarray
     proposal: np.ndarray
-    free_nodes: list
-    choices: list               # per free variable, (label at 0, label at 1)
+    free_nodes: np.ndarray
     unary: np.ndarray
     tables: dict
-    unary_penalties: np.ndarray
-    table_penalties: dict
     base_energy: float
     big_cost: float
 
@@ -65,8 +69,8 @@ class FusionProblem:
     def decode(self, bits):
         """Assignment selected by a binary labeling of the free variables."""
         x = self.incumbent.copy()
-        for i, u in enumerate(self.free_nodes):
-            x[u] = self.choices[i][bits[i]]
+        u = self.free_nodes
+        x[u] = np.where(np.asarray(bits, dtype=bool), self.proposal[u], x[u])
         return x
 
     def binary_energy(self, bits):
@@ -79,100 +83,73 @@ class FusionProblem:
             total += table[bits[i], bits[j]]
         return float(total)
 
-    def violation_count(self, bits):
-        """Number of uniqueness penalties active under the labeling."""
-        count = 0
-        for i in range(self.num_variables):
-            count += int(self.unary_penalties[i, bits[i]])
-        for (i, j), marks in self.table_penalties.items():
-            count += int(marks[bits[i], bits[j]])
-        return count
-
 
 def build_fusion(problem, x1, x2):
     """Construct the auxiliary problem for fusing feasible x1 with x2."""
-    x1 = validate_assignment(problem, x1)
-    x2 = validate_assignment(problem, x2)
-    if not is_feasible(problem, x1):
+    x1, x2 = np.asarray(x1, dtype=np.int64), np.asarray(x2, dtype=np.int64)
+    slots = np.stack((problem.slots(x1), problem.slots(x2)))  # validates both
+    if not labels_distinct(x1):
         raise ValueError("fusion requires a feasible incumbent")
 
-    free_nodes = [u for u in range(problem.num_nodes) if x1[u] != x2[u]]
-    var_of = {u: i for i, u in enumerate(free_nodes)}
-    choices = [(int(x1[u]), int(x2[u])) for u in free_nodes]
-    k = len(free_nodes)
-    slots = np.stack((problem.slots(x1), problem.slots(x2)))
-    at = (slots - problem.offsets[:-1]).T.tolist()  # at[u][side]: local index
-
+    free = x1 != x2
+    free_nodes = np.flatnonzero(free)
+    var = np.cumsum(free) - 1                  # var[u]: u's variable if u is free
     unary = problem.unary_flat[slots[:, free_nodes].T]
-    unary_penalties = np.zeros((k, 2), dtype=np.int64)
 
-    base = 0.0
-    for u in range(problem.num_nodes):
-        if u not in var_of:
-            base += problem.unary[u][at[u][0]]
+    # Edge cells gathered as energy() does; lu/lv[side, e]: local indices.
+    local = slots - problem.offsets[:-1]
+    u, v = problem.edge_nodes.T
+    lu, lv = local[:, u], local[:, v]
 
-    tables = {}
-    table_penalties = {}
+    def cells(e, row, col):
+        return problem.table_buffer[problem.edge_start[e] + row * problem.edge_cols[e] + col]
 
-    def table_for(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in tables:
-            tables[key] = np.zeros((2, 2))
-            table_penalties[key] = np.zeros((2, 2), dtype=np.int64)
-        return key
+    fu, fv = free[u], free[v]
+    inner = np.flatnonzero(~fu & ~fv)         # edges between folded nodes
+    base = sequential_sum(np.concatenate((
+        problem.unary_flat[slots[0, ~free]], cells(inner, lu[0, inner], lv[0, inner]))))
 
-    for (u, v), cost in problem.pairwise.items():
-        iu, iv = var_of.get(u), var_of.get(v)
-        if iu is None and iv is None:
-            base += cost[at[u][0], at[v][0]]
-        elif iv is None:
-            for side in (0, 1):
-                unary[iu, side] += cost[at[u][side], at[v][0]]
-        elif iu is None:
-            for side in (0, 1):
-                unary[iv, side] += cost[at[u][0], at[v][side]]
-        else:
-            block = tables[table_for(iu, iv)]  # iu < iv, as u < v
-            for sa in (0, 1):
-                for sb in (0, 1):
-                    block[sa, sb] += cost[at[u][sa], at[v][sb]]
+    # An edge with one free end adds to that end's unary row, in edge order.
+    one = np.flatnonzero(fu != fv)
+    at_u = fu[one]
+    rows = np.where(at_u, lu[:, one], lu[0, one])
+    cols = np.where(at_u, lv[0, one], lv[:, one])
+    np.add.at(unary, var[np.where(at_u, u[one], v[one])], cells(one, rows, cols).T)
 
-    big = problem.uniqueness_big_cost
+    both = np.flatnonzero(fu & fv)
+    blocks = cells(both[:, None, None], lu[:, both].T[:, :, None], lv[:, both].T[:, None, :])
+    tables = dict(zip(zip(var[u[both]].tolist(), var[v[both]].tolist()), blocks))
 
-    # Uniqueness penalties.  Collect, per non-dummy label, which free
-    # variable sides and which folded nodes can take it.
+    # One penalty exceeds the energy difference of any two labelings.
+    big = 1.0 + float(np.ptp(unary, axis=1).sum() + np.ptp(blocks, axis=(1, 2)).sum())
+
+    # Penalize every side whose label a folded node holds, and every pair
+    # of sides of two variables that share a label.
+    choices = np.stack((x1[free_nodes], x2[free_nodes]), axis=1)
+    held = x1[~free]
+    unary[np.isin(choices, held[held != DUMMY])] += big
     sides_of = {}
-    for i in range(k):
-        for side in (0, 1):
-            s = choices[i][side]
+    for i, pair in enumerate(choices.tolist()):
+        for side, s in enumerate(pair):
             if s != DUMMY:
                 sides_of.setdefault(s, []).append((i, side))
-    fixed_owner = {}
-    for u in range(problem.num_nodes):
-        if u not in var_of and x1[u] != DUMMY:
-            fixed_owner[int(x1[u])] = u
-
-    for s, entries in sides_of.items():
-        for a in range(len(entries)):
-            i, si = entries[a]
-            for b in range(a + 1, len(entries)):
-                j, sj = entries[b]
-                if i == j:
-                    continue
-                key = table_for(i, j)
-                cell = (si, sj) if key == (i, j) else (sj, si)
-                tables[key][cell] += big
-                table_penalties[key][cell] += 1
-            if s in fixed_owner:
-                unary[i, si] += big
-                unary_penalties[i, si] += 1
+    for entries in sides_of.values():
+        for a, (i, si) in enumerate(entries):
+            for j, sj in entries[a + 1:]:
+                if i != j:
+                    key, cell = ((i, j), (si, sj)) if i < j else ((j, i), (sj, si))
+                    tables.setdefault(key, np.zeros((2, 2)))[cell] += big
 
     return FusionProblem(
         problem=problem, incumbent=x1.copy(), proposal=x2.copy(),
-        free_nodes=free_nodes, choices=choices,
-        unary=unary, tables=tables,
-        unary_penalties=unary_penalties, table_penalties=table_penalties,
-        base_energy=float(base), big_cost=float(big))
+        free_nodes=free_nodes, unary=unary, tables=tables,
+        base_energy=base, big_cost=big)
+
+
+def proposal_counts(problem, x2):
+    """(m, n): the dummies and the distinct non-dummy labels of x2."""
+    x2 = validate_assignment(problem, x2)
+    return int(np.sum(x2 == DUMMY)), int(np.unique(x2[x2 != DUMMY]).size)
 
 
 def count_bound(problem, x2):
@@ -180,9 +157,7 @@ def count_bound(problem, x2):
 
     Returns an int, or None when the bound exceeds 2^63 - 1.
     """
-    x2 = validate_assignment(problem, x2)
-    m = int(np.sum(x2 == DUMMY))
-    n = len({int(s) for s in x2 if s != DUMMY})
+    m, n = proposal_counts(problem, x2)
     if n == 0:
         bound = Fraction(2) ** m
     else:
@@ -198,33 +173,21 @@ def solve_qpbo(fp):
 
 
 def penalty_free_labelings(fp):
-    """Every binary labeling of the auxiliary problem that activates no
-    uniqueness penalty, in bit-code order (bit i of the code labels
-    variable i), so the all-zeros labeling comes first.
+    """Every feasible decode of the auxiliary problem, in bit-code order
+    (bit i of the code labels variable i), so the incumbent comes first.
 
-    One array is yielded over and over; copy it to keep a labeling.
+    A labeling activates a uniqueness penalty exactly when its decode
+    repeats a non-dummy label, so these are the penalty-free labelings.
     """
     k = fp.num_variables
     if k > MAX_EXACT_VARIABLES:
         raise ValueError(
             f"exact fusion supports at most {MAX_EXACT_VARIABLES} free variables, got {k}")
-    bits = np.zeros(k, dtype=np.int64)
+    shifts = np.arange(k)
     for code in range(2**k):
-        for i in range(k):
-            bits[i] = (code >> i) & 1
-        if not fp.violation_count(bits):
-            yield bits
-
-
-def _enumerate_exact(fp):
-    """Feasible optimum of the auxiliary problem by enumeration: the first
-    strict minimum in bit-code order."""
-    best_bits, best_value = None, np.inf
-    for bits in penalty_free_labelings(fp):
-        value = fp.binary_energy(bits)
-        if value < best_value:
-            best_value, best_bits = value, bits.copy()
-    return best_bits
+        x = fp.decode((code >> shifts) & 1)
+        if labels_distinct(x):
+            yield x
 
 
 def _improve(fp, bits, rng, rounds=3):
@@ -269,21 +232,20 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
         return fp.incumbent
 
     if mode == "exact":
-        bits = _enumerate_exact(fp)
-    else:
-        result = solve_qpbo(fp)
-        k = fp.num_variables
-        zeros = np.zeros(k, dtype=np.int64)
-        ones = np.ones(k, dtype=np.int64)
-        reference = zeros
-        if fp.violation_count(ones) == 0 and fp.binary_energy(ones) < fp.binary_energy(zeros):
-            reference = ones
-        bits = np.where(result.labels >= 0, result.labels, reference)
-        bits = _improve(fp, bits, rng)
+        # The first strict minimum in bit-code order.
+        return min(penalty_free_labelings(fp), key=lambda x: energy(problem, x))
 
-    fused = fp.decode(bits)
+    result = solve_qpbo(fp)
+    k = fp.num_variables
+    zeros = np.zeros(k, dtype=np.int64)
+    ones = np.ones(k, dtype=np.int64)  # decodes to the proposal
+    reference = zeros
+    if labels_distinct(fp.proposal) and fp.binary_energy(ones) < fp.binary_energy(zeros):
+        reference = ones
+    bits = np.where(result.labels >= 0, result.labels, reference)
+    fused = fp.decode(_improve(fp, bits, rng))
     # One active penalty always exceeds any energy difference, so this
     # check also rules out infeasible decodes.
-    if not is_feasible(problem, fused) or energy(problem, fused) > energy(problem, x1):
+    if not labels_distinct(fused) or energy(problem, fused) > energy(problem, x1):
         return fp.incumbent
     return fused

@@ -141,7 +141,6 @@ class Problem:
 
         self.cost_scale = max(float(max(c.max(initial=0.0), -c.min(initial=0.0)))
                               for c in (self.unary_flat, self.table_buffer))
-        self._big_cost = None
 
     def _build_tables(self, tables, level):
         """Fill the read-only table buffer in (level, shape) order, and the
@@ -222,20 +221,6 @@ class Problem:
             return self.pairwise[(u, v)]
         return self.pairwise[(v, u)].T
 
-    @property
-    def uniqueness_big_cost(self):
-        """Penalty larger than any possible energy difference.
-
-        1 + the sum of all cost magnitudes: since two assignments select
-        disjoint-or-shared table entries, their energy difference is bounded
-        by that sum, so one active penalty always dominates.
-        """
-        if self._big_cost is None:
-            total = sum(float(np.abs(c).sum()) for c in self.unary)
-            total += sum(float(np.abs(t).sum()) for t in self.pairwise.values())
-            self._big_cost = 1.0 + total
-        return self._big_cost
-
     def __repr__(self):
         return (f"Problem(num_nodes={self.num_nodes}, num_labels={self.num_labels}, "
                 f"num_edges={len(self.edges)})")
@@ -266,11 +251,15 @@ def energy(problem, x):
     return sequential_sum(np.concatenate((problem.unary_flat[slots], pair)))
 
 
-def is_feasible(problem, x):
-    """True iff no non-dummy label is used by two distinct nodes."""
-    x = validate_assignment(problem, x)
+def labels_distinct(x):
+    """True iff no non-dummy label repeats in the label array x."""
     used = x[x != DUMMY]
     return np.unique(used).size == used.size
+
+
+def is_feasible(problem, x):
+    """True iff no non-dummy label is used by two distinct nodes."""
+    return labels_distinct(validate_assignment(problem, x))
 
 
 class Reparametrization:

@@ -3,8 +3,8 @@
 Each batch runs a fixed number of ascent sweeps; between the edge phase
 and the node/label phase of every sweep the solver makes proposals with
 the configured primal heuristic (randomized greedy on reparametrized
-costs, or the exact assignment-side LAP solution) and fuses each one into
-the incumbent at once.  The incumbent's energy is non-increasing, the dual
+costs, or the exact assignment-side LAP solution, solved once per sweep)
+and fuses each one into the incumbent at once.  The incumbent's energy is non-increasing, the dual
 bound non-decreasing, and the run stops on batch count, wall-clock budget,
 or a proved optimum (gap below 1e-6 of the larger of |energy| and the
 largest cost magnitude).
@@ -107,10 +107,12 @@ def solve(problem, config=None, *, trace_clock=None):
     def propose_and_fuse():
         nonlocal incumbent, best_energy
         record("edge-sweep", best_energy, pair_work)
+        if config.primal_heuristic == "lap":
+            # The dual state is fixed until the sweep goes on: one LAP
+            # proposal serves every generation.
+            proposal = solve_lap(problem, assignment_side(problem, state.repar))[0]
         for _ in range(config.greedy_generations):
-            if config.primal_heuristic == "lap":
-                proposal = solve_lap(problem, assignment_side(problem, state.repar))[0]
-            else:
+            if config.primal_heuristic == "greedy":
                 proposal = greedy_assignment(problem, rng, state.repar)
             record(config.primal_heuristic, best_energy, unary_work + pair_work / 4)
             fused = fuse(problem, incumbent, proposal, mode=config.fusion_mode, rng=rng)

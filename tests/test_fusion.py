@@ -19,6 +19,89 @@ def two_node_shared_label_problem():
     return p
 
 
+def assert_terms_match_costs(p, x1, x2, fp):
+    """Check fp's unary rows and tables cell by cell, with exact ==, against
+    a reconstruction from the problem's costs: each side's unary cost plus
+    its edges to folded neighbours in edge order, each free pair's edge
+    cost, and big_cost times the label-clash indicator.  Returns the
+    reconstructed penalty-free (unary, tables) and the tables' clash masks.
+    """
+    n = p.num_nodes
+    free = [u for u in range(n) if x1[u] != x2[u]]
+    var = {u: i for i, u in enumerate(free)}
+    held = {int(x1[u]) for u in range(n) if u not in var and x1[u] != qf.DUMMY}
+    label = [(int(x1[u]), int(x2[u])) for u in free]
+
+    local = p.local_index
+    unary = np.zeros((len(free), 2))
+    for i, u in enumerate(free):
+        for side in (0, 1):
+            value = p.unary[u][local(u, label[i][side])]
+            for v in p.neighbors[u]:  # ascending, which is edge order
+                if v not in var:
+                    value += p.pairwise_table(u, v)[local(u, label[i][side]), local(v, x1[v])]
+            unary[i, side] = value
+    tables, clash = {}, {}
+    for i, u in enumerate(free):
+        for j in range(i + 1, len(free)):
+            v = free[j]
+            mask = np.array([[label[i][a] == label[j][b] != qf.DUMMY for b in (0, 1)]
+                             for a in (0, 1)])
+            if (u, v) in p.pairwise:
+                tables[(i, j)] = np.array([[p.pairwise[(u, v)][local(u, label[i][a]),
+                                                               local(v, label[j][b])]
+                                            for b in (0, 1)] for a in (0, 1)])
+            elif mask.any():
+                tables[(i, j)] = np.zeros((2, 2))
+            if (i, j) in tables:
+                clash[(i, j)] = mask
+
+    ranges = [np.ptp(row) for row in unary] + [np.ptp(t) for t in tables.values()]
+    assert fp.big_cost == pytest.approx(1.0 + sum(ranges), rel=1e-12)
+    assert fp.big_cost > sum(ranges)
+    big = fp.big_cost
+    held_mask = np.array([[s != qf.DUMMY and s in held for s in pair] for pair in label],
+                         dtype=bool).reshape(-1, 2)
+    assert fp.unary.shape == unary.shape
+    assert np.all(fp.unary == unary + big * held_mask)
+    assert set(fp.tables) == set(tables)
+    for key, table in tables.items():
+        assert np.all(fp.tables[key] == table + big * clash[key])
+    return unary, tables, clash
+
+
+def consistency_instances(rng):
+    """(problem, feasible x1, x2) triples, degenerate shapes included."""
+    for _ in range(100):
+        p = random_problem(rng, max_nodes=5)
+        yield p, random_feasible_assignment(p, rng), random_assignment(p, rng)
+    for _ in range(20):  # no edges
+        p = random_problem(rng, max_nodes=5, edge_prob=0.0)
+        yield p, random_feasible_assignment(p, rng), random_assignment(p, rng)
+    # Nodes without candidates, next to one with candidates.
+    p = qf.Problem(3, 2, [[], [0, 1], []],
+                   [np.array([1.5]), np.array([-1.0, 2.0, 0.5]), np.array([-0.25])],
+                   {(0, 1): np.array([[0.5, -2.0, 1.0]]), (1, 2): np.array([[3.0], [-1.5], [0.0]])})
+    for x2 in ([qf.DUMMY, 0, qf.DUMMY], [qf.DUMMY, 1, qf.DUMMY]):
+        yield p, qf.all_dummy(p), np.array(x2)
+    # Every node free: x2 differs from x1 everywhere.
+    found = 0
+    while found < 20:
+        p = random_problem(rng, max_nodes=5, min_nodes=2)
+        if any(p.num_candidates(u) == 0 for u in range(p.num_nodes)):
+            continue
+        found += 1
+        x1 = random_feasible_assignment(p, rng)
+        x2 = np.array([rng.choice([s for s in [qf.DUMMY, *p.candidate_labels[u].tolist()]
+                                   if s != x1[u]]) for u in range(p.num_nodes)])
+        assert np.all(x1 != x2)
+        yield p, x1, x2
+    # A table that holds nothing but a penalty (no edge between the nodes).
+    p = qf.Problem(3, 2, [[0, 1], [0], [1]],
+                   [np.array([-1.0, 0.5, 0.0]), np.array([-2.0, 0.0]), np.array([1.0, 0.0])])
+    yield p, np.array([0, qf.DUMMY, 1]), np.array([1, 0, qf.DUMMY])
+
+
 class TestBuildFusion:
     def test_identical_proposals_fold_everything(self):
         rng = np.random.default_rng(1)
@@ -31,23 +114,24 @@ class TestBuildFusion:
     def test_single_conflict_cell(self):
         # x1 = (a, #), x2 = (#, a): label a shared between node 0's side 0
         # and node 1's side 1, so exactly the (0, 1) cell is penalized, and
-        # the table exists even though the problem has that edge anyway.
+        # the penalty lands on the edge's (zero) table.
         p = two_node_shared_label_problem()
         x1 = np.array([0, qf.DUMMY])
         x2 = np.array([qf.DUMMY, 0])
         fp = qf.build_fusion(p, x1, x2)
         assert fp.num_variables == 2
-        marks = fp.table_penalties[(0, 1)]
-        assert marks[0, 1] == 1
-        assert marks[0, 0] == marks[1, 0] == marks[1, 1] == 0
-        assert fp.tables[(0, 1)][0, 1] >= fp.big_cost
+        assert fp.big_cost == 1.0 + 1.0 + 2.0 + 0.0  # 1 + unary and table ranges
+        assert np.array_equal(fp.unary, [[-1.0, 0.0], [0.0, -2.0]])
+        assert list(fp.tables) == [(0, 1)]
+        assert np.array_equal(fp.tables[(0, 1)], [[0.0, fp.big_cost], [0.0, 0.0]])
 
     def test_penalty_table_created_without_edge(self):
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([-1.0, 0.0]), np.array([-2.0, 0.0])])
         fp = qf.build_fusion(p, np.array([0, qf.DUMMY]), np.array([qf.DUMMY, 0]))
-        assert (0, 1) in fp.tables
-        assert fp.table_penalties[(0, 1)][0, 1] == 1
+        assert fp.big_cost == 4.0
+        assert list(fp.tables) == [(0, 1)]
+        assert np.array_equal(fp.tables[(0, 1)], [[0.0, fp.big_cost], [0.0, 0.0]])
 
     def test_feasible_pair_penalties_only_off_diagonal(self):
         # With both proposals feasible, shared labels occur only across
@@ -59,8 +143,10 @@ class TestBuildFusion:
             x1 = random_feasible_assignment(p, rng)
             x2 = random_feasible_assignment(p, rng)
             fp = qf.build_fusion(p, x1, x2)
-            for marks in fp.table_penalties.values():
-                assert marks[0, 0] == 0 and marks[1, 1] == 0
+            _, costs, clash = assert_terms_match_costs(p, x1, x2, fp)
+            for key, table in fp.tables.items():
+                assert not clash[key][0, 0] and not clash[key][1, 1]
+                assert table[0, 0] == costs[key][0, 0] and table[1, 1] == costs[key][1, 1]
 
     def test_infeasible_incumbent_rejected(self):
         p = two_node_shared_label_problem()
@@ -69,13 +155,12 @@ class TestBuildFusion:
 
     def test_binary_energy_consistency(self):
         # base + restricted evaluation == original energy + penalty count
-        # times the big cost, for every labeling of the free variables.
+        # times the big cost, for every labeling of the free variables, and
+        # the decode is feasible exactly when no penalty is active.
         rng = np.random.default_rng(13)
-        for _ in range(100):
-            p = random_problem(rng, max_nodes=5)
-            x1 = random_feasible_assignment(p, rng)
-            x2 = random_assignment(p, rng)
+        for p, x1, x2 in consistency_instances(rng):
             fp = qf.build_fusion(p, x1, x2)
+            assert_terms_match_costs(p, x1, x2, fp)
             for code in range(2 ** fp.num_variables):
                 bits = [(code >> i) & 1 for i in range(fp.num_variables)]
                 decoded = fp.decode(bits)
@@ -85,7 +170,33 @@ class TestBuildFusion:
                 expected = qf.energy(p, decoded) + fp.big_cost * violated
                 assert fp.binary_energy(bits) == pytest.approx(
                     expected, rel=1e-9, abs=1e-6)
-                assert fp.violation_count(bits) == violated
+                assert qf.is_feasible(p, decoded) == (violated == 0)
+
+    def test_costs_between_folded_nodes_only_move_the_constant(self):
+        # An outlier on an edge between two folded nodes changes neither the
+        # variables' terms nor the penalty; only the folded constant.
+        rng = np.random.default_rng(21)
+        tested = 0
+        while tested < 20:
+            p = random_problem(rng, max_nodes=7, min_nodes=4, edge_prob=1.0)
+            x1 = random_feasible_assignment(p, rng)
+            x2 = random_assignment(p, rng)
+            x2[:2] = x1[:2]
+            fp = qf.build_fusion(p, x1, x2)
+            if fp.num_variables < 2:
+                continue
+            tested += 1
+            pairwise = {edge: table.copy() for edge, table in p.pairwise.items()}
+            pairwise[(0, 1)][p.local_index(0, x1[0]), p.local_index(1, x1[1])] += 1e16
+            outlier = qf.Problem(p.num_nodes, p.num_labels, p.candidate_labels,
+                                 p.unary, pairwise)
+            other = qf.build_fusion(outlier, x1, x2)
+            assert np.array_equal(other.unary, fp.unary)
+            assert list(other.tables) == list(fp.tables)
+            assert all(np.array_equal(other.tables[k], t) for k, t in fp.tables.items())
+            assert other.big_cost == fp.big_cost
+            assert np.array_equal(qf.solve_qpbo(other).labels, qf.solve_qpbo(fp).labels)
+            assert other.base_energy != fp.base_energy
 
     def test_decode_endpoints(self):
         rng = np.random.default_rng(40)

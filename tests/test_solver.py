@@ -116,6 +116,26 @@ class TestSolve:
         opt, _ = brute_force_optimum(p)
         assert outcome.final_dual_bound <= opt + 1e-6
 
+    def test_one_lap_solve_per_sweep(self, monkeypatch):
+        # The dual state stays put between generations, so one LAP solve
+        # per sweep serves all three of them.
+        calls = []
+        real = qf.solver.solve_lap
+
+        def spy(problem, costs):
+            calls.append(costs.copy())
+            return real(problem, costs)
+
+        monkeypatch.setattr(qf.solver, "solve_lap", spy)
+        p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
+        cfg = qf.SolverConfig(max_batches=6, batch_size=2, greedy_generations=3,
+                              seed=5, primal_heuristic="lap")
+        trace = qf.solve(p, cfg).trace
+        sweeps = sum(r.event == "edge-sweep" for r in trace)
+        assert sweeps == 12
+        assert len(calls) == sweeps
+        assert sum(r.event == "lap" for r in trace) == 3 * sweeps
+
     def test_time_budget_stops_early(self):
         rng = np.random.default_rng(14)
         p = random_problem(rng, max_nodes=5, min_nodes=5, edge_prob=1.0)
