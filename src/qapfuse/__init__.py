@@ -53,7 +53,6 @@ from .fusion import (
     build_fusion,
     count_bound,
     fuse,
-    solve_qpbo,
 )
 from .solver import SolveOutcome, SolverConfig, fuse_sequence, solve
 
@@ -72,6 +71,6 @@ __all__ = [
     "DualState", "dual_bound", "sweep", "update_edge_messages",
     "update_label_messages", "update_node_messages",
     "MaxFlow", "QpboResult", "roof_duality",
-    "FusionProblem", "build_fusion", "count_bound", "fuse", "solve_qpbo",
+    "FusionProblem", "build_fusion", "count_bound", "fuse",
     "SolveOutcome", "SolverConfig", "fuse_sequence", "solve",
 ]

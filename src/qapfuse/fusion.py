@@ -6,7 +6,8 @@ proposals agree are folded away into a constant and into their neighbors'
 unary costs; the terms are gathered from the problem's flat arrays as
 :func:`~qapfuse.model.energy` gathers them.  The incumbent's side is
 binary 0 and the proposal's side binary 1, so the all-zeros labeling
-decodes to x1.
+decodes to x1.  The auxiliary problem is held in the flat arrays that
+:func:`~qapfuse.qpbo.roof_duality` reads (see :class:`FusionProblem`).
 
 Feasibility has one rule: a labeling is feasible exactly when its decode
 repeats no non-dummy label (:func:`~qapfuse.model.labels_distinct`).
@@ -47,18 +48,20 @@ class FusionProblem:
     """Two-label auxiliary problem over the disagreeing nodes.
 
     ``free_nodes`` are the nodes where incumbent and proposal differ, in
-    node order; variable i decides node ``free_nodes[i]``.  ``unary`` has
-    one (cost0, cost1) row per free variable and ``tables`` maps
-    free-variable index pairs (i < j) to 2x2 cost tables, penalties
-    included.  ``base_energy`` collects all folded-away costs and
-    ``big_cost`` is the uniqueness penalty.
+    node order; variable i decides node ``free_nodes[i]``.  ``unary`` (k, 2)
+    holds one (cost0, cost1) row per free variable; row p of ``pairs`` (P, 2)
+    is a variable pair i < j, each pair once, and ``tables[p]`` its 2x2 cost
+    table, penalties included: the edges between free nodes in edge order,
+    then the pairs only a penalty joins, in the order the penalties are met.
+    ``base_energy`` collects all folded-away costs and ``big_cost`` is the
+    uniqueness penalty.
     """
-    problem: object
     incumbent: np.ndarray
     proposal: np.ndarray
     free_nodes: np.ndarray
     unary: np.ndarray
-    tables: dict
+    pairs: np.ndarray
+    tables: np.ndarray
     base_energy: float
     big_cost: float
 
@@ -76,12 +79,11 @@ class FusionProblem:
     def binary_energy(self, bits):
         """base_energy + unary + pairwise of the binary labeling
         (penalties included)."""
-        total = self.base_energy
-        for i in range(self.num_variables):
-            total += self.unary[i, bits[i]]
-        for (i, j), table in self.tables.items():
-            total += table[bits[i], bits[j]]
-        return float(total)
+        bits = np.asarray(bits, dtype=np.int64)
+        i, j = self.pairs.T
+        return sequential_sum(np.concatenate((
+            [self.base_energy], self.unary[np.arange(self.num_variables), bits],
+            self.tables[np.arange(len(i)), bits[i], bits[j]])))
 
 
 def build_fusion(problem, x1, x2):
@@ -118,7 +120,7 @@ def build_fusion(problem, x1, x2):
 
     both = np.flatnonzero(fu & fv)
     blocks = cells(both[:, None, None], lu[:, both].T[:, :, None], lv[:, both].T[:, None, :])
-    tables = dict(zip(zip(var[u[both]].tolist(), var[v[both]].tolist()), blocks))
+    row = {pair: r for r, pair in enumerate(zip(var[u[both]].tolist(), var[v[both]].tolist()))}
 
     # One penalty exceeds the energy difference of any two labelings.
     big = 1.0 + float(np.ptp(unary, axis=1).sum() + np.ptp(blocks, axis=(1, 2)).sum())
@@ -133,16 +135,20 @@ def build_fusion(problem, x1, x2):
         for side, s in enumerate(pair):
             if s != DUMMY:
                 sides_of.setdefault(s, []).append((i, side))
+    clashes = []
     for entries in sides_of.values():
         for a, (i, si) in enumerate(entries):
             for j, sj in entries[a + 1:]:
-                if i != j:
-                    key, cell = ((i, j), (si, sj)) if i < j else ((j, i), (sj, si))
-                    tables.setdefault(key, np.zeros((2, 2)))[cell] += big
+                if i != j:  # entries run in variable order, so i < j
+                    clashes.append((row.setdefault((i, j), len(row)), si, sj))
+    tables = np.zeros((len(row), 2, 2))
+    tables[:len(blocks)] = blocks
+    for cell in clashes:
+        tables[cell] += big
 
     return FusionProblem(
-        problem=problem, incumbent=x1.copy(), proposal=x2.copy(),
-        free_nodes=free_nodes, unary=unary, tables=tables,
+        incumbent=x1.copy(), proposal=x2.copy(), free_nodes=free_nodes, unary=unary,
+        pairs=np.array(list(row), dtype=np.int64).reshape(-1, 2), tables=tables,
         base_energy=base, big_cost=big)
 
 
@@ -164,12 +170,6 @@ def count_bound(problem, x2):
         bound = Fraction(2) ** m * (Fraction(problem.num_nodes, n) + 1) ** n
     value = -(-bound.numerator // bound.denominator)  # ceiling
     return None if value > _COUNT_SATURATION else int(value)
-
-
-def solve_qpbo(fp):
-    """Roof duality on the auxiliary problem; see :mod:`qapfuse.qpbo`."""
-    return roof_duality(fp.num_variables, fp.unary, fp.tables,
-                        constant=fp.base_energy)
 
 
 def penalty_free_labelings(fp):
@@ -194,7 +194,7 @@ def _improve(fp, bits, rng, rounds=3):
     """Seeded 1-swap descent on the binary energy (penalties included)."""
     k = fp.num_variables
     incident = [[] for _ in range(k)]
-    for (i, j), table in fp.tables.items():
+    for (i, j), table in zip(fp.pairs.tolist(), fp.tables):
         incident[i].append((j, table, False))
         incident[j].append((i, table, True))
     for _ in range(rounds):
@@ -222,7 +222,9 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
 
     mode "exact" enumerates the restricted space (<= 20 free variables);
     mode "qpbo-i" runs roof duality, fills unlabeled variables from the
-    better reference labeling, and then a seeded 1-swap descent.
+    better reference labeling, and then a seeded 1-swap descent; it makes
+    the comparison with x1 on the auxiliary problem's energy, which equals
+    energy() up to rounding for feasible decodes, and so evaluates no energy.
     """
     if mode not in ("qpbo-i", "exact"):
         raise ValueError(f"unknown fusion mode {mode!r}")
@@ -235,17 +237,16 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
         # The first strict minimum in bit-code order.
         return min(penalty_free_labelings(fp), key=lambda x: energy(problem, x))
 
-    result = solve_qpbo(fp)
+    result = roof_duality(fp.unary, fp.pairs, fp.tables, constant=fp.base_energy)
     k = fp.num_variables
     zeros = np.zeros(k, dtype=np.int64)
     ones = np.ones(k, dtype=np.int64)  # decodes to the proposal
+    start = fp.binary_energy(zeros)
     reference = zeros
-    if labels_distinct(fp.proposal) and fp.binary_energy(ones) < fp.binary_energy(zeros):
+    if labels_distinct(fp.proposal) and fp.binary_energy(ones) < start:
         reference = ones
-    bits = np.where(result.labels >= 0, result.labels, reference)
-    fused = fp.decode(_improve(fp, bits, rng))
-    # One active penalty always exceeds any energy difference, so this
-    # check also rules out infeasible decodes.
-    if not labels_distinct(fused) or energy(problem, fused) > energy(problem, x1):
+    bits = _improve(fp, np.where(result.labels >= 0, result.labels, reference), rng)
+    fused = fp.decode(bits)
+    if not labels_distinct(fused) or fp.binary_energy(bits) > start:
         return fp.incumbent
     return fused

@@ -1,5 +1,8 @@
 """Roof duality (QPBO) for binary pairwise energies, via max-flow.
 
+A problem over k variables comes in the flat arrays that fusion builds:
+``unary`` (k, 2), ``pairs`` (P, 2) with i < j, and ``tables`` (P, 2, 2).
+
 The energy is doubled into a submodular surrogate over one "copy" and one
 "anti-copy" node per variable: submodular tables land on (copy, copy) and
 (anti, anti), supermodular ones on the mixed pairs with one argument
@@ -12,13 +15,17 @@ persistent labels: some optimal labeling agrees with all of them at once.
 
 Max-flow is a level-graph augmenting-path implementation with double
 capacities; fusion subproblems are small, so sophisticated flow codes are
-unnecessary here.  Arcs count as saturated below a 1e-12 residual.
+unnecessary here.  An arc counts as saturated when its residual is at most
+1e-12 of the network's largest capacity, so scaling every cost by a power
+of two leaves the labels unchanged.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import sequential_sum
 
 _EPS = 1e-12
 
@@ -31,10 +38,12 @@ class MaxFlow:
         self.head = [[] for _ in range(num_nodes)]
         self.to = []
         self.cap = []
+        self.eps = 0.0  # saturation threshold, relative to the largest capacity
 
     def add_arc(self, a, b, capacity):
         if capacity <= 0.0:
             return
+        self.eps = max(self.eps, _EPS * capacity)
         self.head[a].append(len(self.to))
         self.to.append(b)
         self.cap.append(float(capacity))
@@ -50,7 +59,7 @@ class MaxFlow:
             a = queue.popleft()
             for arc in self.head[a]:
                 b = self.to[arc]
-                if level[b] < 0 and self.cap[arc] > _EPS:
+                if level[b] < 0 and self.cap[arc] > self.eps:
                     level[b] = level[a] + 1
                     queue.append(b)
         return level if level[sink] >= 0 else None
@@ -71,7 +80,7 @@ class MaxFlow:
             while cursor[a] < len(arcs):
                 arc = arcs[cursor[a]]
                 b = self.to[arc]
-                if self.cap[arc] > _EPS and level[b] == level[a] + 1:
+                if self.cap[arc] > self.eps and level[b] == level[a] + 1:
                     path.append(arc)
                     a = b
                     advanced = True
@@ -108,7 +117,7 @@ class MaxFlow:
             a = queue.popleft()
             for arc in self.head[a]:
                 b = self.to[arc]
-                if not seen[b] and self.cap[arc] > _EPS:
+                if not seen[b] and self.cap[arc] > self.eps:
                     seen[b] = True
                     queue.append(b)
         return seen
@@ -130,90 +139,49 @@ class QpboResult:
         return self.labels >= 0
 
 
-class _Builder:
-    """Collects halved energy terms as cut arcs; x = 1 means sink side.
-
-    Unary weights and parallel arcs are accumulated first and materialized
-    once, which keeps the flow network small.
-    """
-
-    def __init__(self, num_vars):
-        self.num_nodes = 2 + 2 * num_vars
-        self.constant = 0.0
-        self.node_weight = [0.0] * self.num_nodes
-        self.pair_arcs = {}
-
-    def unary(self, node, when_zero, when_one):
-        # cost(x) = when_zero + (when_one - when_zero) * x
-        self.constant += when_zero
-        self.node_weight[node] += when_one - when_zero
-
-    def pairwise(self, node_a, node_b, t00, t01, t10, t11):
-        # Standard decomposition; requires a submodular table.
-        self.constant += t00
-        self.unary(node_a, 0.0, t10 - t00)
-        self.unary(node_b, 0.0, t11 - t10)
-        defect = t01 + t10 - t00 - t11
-        assert defect >= -1e-9, "pairwise table routed to the wrong copy pair"
-        if defect > 0.0:
-            key = (node_a, node_b)
-            self.pair_arcs[key] = self.pair_arcs.get(key, 0.0) + defect
-
-    def build_graph(self):
-        graph = MaxFlow(self.num_nodes)
-        for node, w in enumerate(self.node_weight):
-            if w >= 0.0:
-                graph.add_arc(0, node, w)
-            else:
-                self.constant += w
-                graph.add_arc(node, 1, -w)
-        for (a, b), capacity in self.pair_arcs.items():
-            graph.add_arc(a, b, capacity)
-        return graph
-
-
-def roof_duality(num_vars, unary, pairwise, constant=0.0):
+def roof_duality(unary, pairs, tables, constant=0.0):
     """Solve the roof-dual relaxation of a binary pairwise energy.
 
-    ``unary`` is an array of shape (num_vars, 2); ``pairwise`` maps
-    ``(i, j)`` with i < j to a 2x2 cost table; ``constant`` is added to the
-    reported bound.  Returns a :class:`QpboResult`.
+    ``unary`` (k, 2), ``pairs`` (P, 2) and ``tables`` (P, 2, 2) are in the
+    module's flat format; ``constant`` is added to the reported bound.
+    Returns a :class:`QpboResult`.
     """
-    unary = np.asarray(unary, dtype=np.float64)
-    build = _Builder(num_vars)
-    build.constant += constant
+    half_unary = np.asarray(unary, dtype=np.float64) / 2.0
+    i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    half = np.asarray(tables, dtype=np.float64).reshape(-1, 2, 2) / 2.0
+    k = len(half_unary)
 
-    def copy_node(i):
-        return 2 + 2 * i
+    # Copy node of variable v: 2 + 2v, anti-copy 3 + 2v; x = 1 is the sink
+    # side.  A submodular table goes onto (copy, copy) and, complemented,
+    # onto (anti, anti); a supermodular one onto the two mixed pairs.
+    defect = half[:, 0, 1] + half[:, 1, 0] - half[:, 0, 0] - half[:, 1, 1]
+    sub = defect >= 0.0
+    routed = np.stack((np.where(sub[:, None, None], half, half[:, :, ::-1]),
+                       np.where(sub[:, None, None], half[:, ::-1, ::-1], half[:, ::-1, :])), 1)
+    ends = np.stack((np.stack((2 + 2 * i, 3 + 2 * j - sub), 1),
+                     np.stack((3 + 2 * i, 2 + 2 * j + sub), 1)), 1)
 
-    def anti_node(i):
-        return 3 + 2 * i
+    # A routed half t on (a, b) costs t00 + (t10 - t00) a + (t11 - t10) b
+    # + |defect| a (1 - b); weights add up unaries first, then tables.
+    slope = np.diff(half_unary)
+    steps = np.diff(routed.reshape(-1, 2, 4)[:, :, [0, 2, 3]])  # t10 - t00, t11 - t10
+    weight = np.zeros(2 + 2 * k)
+    np.add.at(weight, np.concatenate((np.arange(2, 2 + 2 * k), ends.ravel())),
+              np.concatenate((np.hstack((slope, -slope)).ravel(), steps.ravel())))
 
-    for i in range(num_vars):
-        c0, c1 = unary[i] / 2.0
-        build.unary(copy_node(i), c0, c1)
-        build.unary(anti_node(i), c1, c0)
-
-    for (i, j), table in pairwise.items():
-        t00, t01, t10, t11 = (float(table[0, 0]) / 2.0, float(table[0, 1]) / 2.0,
-                              float(table[1, 0]) / 2.0, float(table[1, 1]) / 2.0)
-        if t01 + t10 - t00 - t11 >= 0.0:
-            # Submodular: straight copy and fully complemented anti-copy.
-            build.pairwise(copy_node(i), copy_node(j), t00, t01, t10, t11)
-            build.pairwise(anti_node(i), anti_node(j), t11, t10, t01, t00)
+    graph = MaxFlow(2 + 2 * k)
+    for node, w in enumerate(weight.tolist()):
+        if w >= 0.0:
+            graph.add_arc(0, node, w)
         else:
-            # Supermodular: complement one side on each half.
-            build.pairwise(copy_node(i), anti_node(j), t01, t00, t11, t10)
-            build.pairwise(anti_node(i), copy_node(j), t10, t11, t00, t01)
+            graph.add_arc(node, 1, -w)
+    for (a, b), capacity in zip(ends.reshape(-1, 2).tolist(),
+                                np.repeat(np.abs(defect), 2).tolist()):
+        graph.add_arc(a, b, capacity)
+    offset = sequential_sum(np.concatenate((
+        [constant], half_unary.ravel(), routed[:, :, 0, 0].ravel(), weight[weight < 0.0])))
 
-    graph = build.build_graph()
     flow = graph.max_flow(0, 1)
-    reachable = graph.source_side(0)
-
-    labels = np.full(num_vars, -1, dtype=np.int64)
-    for i in range(num_vars):
-        from_copy = 0 if reachable[copy_node(i)] else 1
-        from_anti = 1 if reachable[anti_node(i)] else 0
-        if from_copy == from_anti:
-            labels[i] = from_copy
-    return QpboResult(labels=labels, flow_value=build.constant + flow)
+    on_copy, on_anti = np.array(graph.source_side(0))[2:].reshape(-1, 2).T
+    labels = np.where(on_copy != on_anti, on_anti, -1).astype(np.int64)
+    return QpboResult(labels=labels, flow_value=offset + flow)

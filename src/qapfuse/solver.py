@@ -163,7 +163,12 @@ def fuse_sequence(problem, proposals, mode="qpbo-i", rng=0):
         incumbent = all_dummy(problem)
 
     steps = []
+    incumbent_energy = energy(problem, incumbent)
     for index, x in enumerate(proposals):
-        incumbent = fuse(problem, incumbent, x, mode=mode, rng=rng)
-        steps.append((index, energy(problem, x), energy(problem, incumbent)))
+        fused = fuse(problem, incumbent, x, mode=mode, rng=rng)
+        if not np.array_equal(fused, incumbent):
+            fused_energy = energy(problem, fused)
+            if fused_energy <= incumbent_energy:
+                incumbent, incumbent_energy = fused, fused_energy
+        steps.append((index, energy(problem, x), incumbent_energy))
     return incumbent, steps

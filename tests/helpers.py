@@ -240,15 +240,18 @@ def restricted_space_optimum_pruned(problem, x1, x2):
     return best[0], count[0]
 
 
-def enumerate_binary_energies(num_vars, unary, tables, constant=0.0):
-    """All 2^k energies of a binary pairwise problem, as a dict bits->value."""
+def enumerate_binary_energies(unary, pairs, tables, constant=0.0):
+    """All 2^k energies of a binary pairwise problem (k = len(unary), row p
+    of ``pairs`` indexing the variables of ``tables[p]``), as a dict
+    bits->value."""
+    num_vars = len(unary)
     energies = {}
     for code in range(2 ** num_vars):
         bits = tuple((code >> i) & 1 for i in range(num_vars))
         value = constant
         for i in range(num_vars):
             value += float(unary[i][bits[i]])
-        for (i, j), table in tables.items():
+        for (i, j), table in zip(pairs, tables):
             value += float(table[bits[i], bits[j]])
         energies[bits] = value
     return energies

@@ -145,14 +145,14 @@ def test_criterion_4_qpbo_correctness():
     from test_qpbo import agreeing_optimum_exists, random_binary_problem
     for trial in range(500):
         k = int(rng.integers(2, 9))
-        unary, tables = random_binary_problem(
+        unary, pairs, tables = random_binary_problem(
             rng, k, force_submodular=(trial % 2 == 0))
-        result = qf.roof_duality(k, unary, tables)
-        energies = enumerate_binary_energies(k, unary, tables)
+        result = qf.roof_duality(unary, pairs, tables)
+        energies = enumerate_binary_energies(unary, pairs, tables)
         best = min(energies.values())
         assert result.flow_value <= best + 1e-9
         assert agreeing_optimum_exists(result.labels, energies)
-        if all(t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1] >= 0 for t in tables.values()):
+        if all(t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1] >= 0 for t in tables):
             assert (result.labels >= 0).all()
             assert result.flow_value == pytest.approx(best, abs=1e-9)
             assert energies[tuple(result.labels)] == pytest.approx(best, abs=1e-9)

@@ -9,7 +9,12 @@ from helpers import (
     random_feasible_assignment,
     random_problem,
     restricted_space_optimum,
+    scaled_problem,
 )
+
+
+def qpbo_labels(fp):
+    return qf.roof_duality(fp.unary, fp.pairs, fp.tables, constant=fp.base_energy).labels
 
 
 def two_node_shared_label_problem():
@@ -64,9 +69,15 @@ def assert_terms_match_costs(p, x1, x2, fp):
                          dtype=bool).reshape(-1, 2)
     assert fp.unary.shape == unary.shape
     assert np.all(fp.unary == unary + big * held_mask)
-    assert set(fp.tables) == set(tables)
-    for key, table in tables.items():
-        assert np.all(fp.tables[key] == table + big * clash[key])
+    keys = [tuple(pair) for pair in fp.pairs.tolist()]
+    assert fp.pairs.shape == (len(keys), 2) and fp.tables.shape == (len(keys), 2, 2)
+    assert all(i < j for i, j in keys) and len(set(keys)) == len(keys)
+    assert set(keys) == set(tables)
+    # The edges between free nodes come first, in edge order.
+    edge_keys = [(var[u], var[v]) for u, v in p.edges if u in var and v in var]
+    assert keys[:len(edge_keys)] == edge_keys
+    for key, table in zip(keys, fp.tables):
+        assert np.all(table == tables[key] + big * clash[key])
     return unary, tables, clash
 
 
@@ -122,16 +133,16 @@ class TestBuildFusion:
         assert fp.num_variables == 2
         assert fp.big_cost == 1.0 + 1.0 + 2.0 + 0.0  # 1 + unary and table ranges
         assert np.array_equal(fp.unary, [[-1.0, 0.0], [0.0, -2.0]])
-        assert list(fp.tables) == [(0, 1)]
-        assert np.array_equal(fp.tables[(0, 1)], [[0.0, fp.big_cost], [0.0, 0.0]])
+        assert fp.pairs.tolist() == [[0, 1]]
+        assert np.array_equal(fp.tables, [[[0.0, fp.big_cost], [0.0, 0.0]]])
 
     def test_penalty_table_created_without_edge(self):
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([-1.0, 0.0]), np.array([-2.0, 0.0])])
         fp = qf.build_fusion(p, np.array([0, qf.DUMMY]), np.array([qf.DUMMY, 0]))
         assert fp.big_cost == 4.0
-        assert list(fp.tables) == [(0, 1)]
-        assert np.array_equal(fp.tables[(0, 1)], [[0.0, fp.big_cost], [0.0, 0.0]])
+        assert fp.pairs.tolist() == [[0, 1]]
+        assert np.array_equal(fp.tables, [[[0.0, fp.big_cost], [0.0, 0.0]]])
 
     def test_feasible_pair_penalties_only_off_diagonal(self):
         # With both proposals feasible, shared labels occur only across
@@ -144,7 +155,7 @@ class TestBuildFusion:
             x2 = random_feasible_assignment(p, rng)
             fp = qf.build_fusion(p, x1, x2)
             _, costs, clash = assert_terms_match_costs(p, x1, x2, fp)
-            for key, table in fp.tables.items():
+            for key, table in zip(map(tuple, fp.pairs.tolist()), fp.tables):
                 assert not clash[key][0, 0] and not clash[key][1, 1]
                 assert table[0, 0] == costs[key][0, 0] and table[1, 1] == costs[key][1, 1]
 
@@ -192,10 +203,10 @@ class TestBuildFusion:
                                  p.unary, pairwise)
             other = qf.build_fusion(outlier, x1, x2)
             assert np.array_equal(other.unary, fp.unary)
-            assert list(other.tables) == list(fp.tables)
-            assert all(np.array_equal(other.tables[k], t) for k, t in fp.tables.items())
+            assert np.array_equal(other.pairs, fp.pairs)
+            assert np.array_equal(other.tables, fp.tables)
             assert other.big_cost == fp.big_cost
-            assert np.array_equal(qf.solve_qpbo(other).labels, qf.solve_qpbo(fp).labels)
+            assert np.array_equal(qpbo_labels(other), qpbo_labels(fp))
             assert other.base_energy != fp.base_energy
 
     def test_decode_endpoints(self):
@@ -240,14 +251,14 @@ class TestCountBound:
             assert bound is not None and count <= bound
 
 
-class TestSolveQpbo:
-    def test_wraps_auxiliary_problem(self):
+class TestRoofDualityOnFusion:
+    def test_reads_auxiliary_problem(self):
         rng = np.random.default_rng(5)
         p = random_problem(rng, max_nodes=5, min_nodes=3)
         x1 = random_feasible_assignment(p, rng)
         x2 = random_assignment(p, rng)
         fp = qf.build_fusion(p, x1, x2)
-        result = qf.solve_qpbo(fp)
+        result = qf.roof_duality(fp.unary, fp.pairs, fp.tables, constant=fp.base_energy)
         assert result.labels.shape == (fp.num_variables,)
         best = min(fp.binary_energy([(code >> i) & 1 for i in range(fp.num_variables)])
                    for code in range(2 ** fp.num_variables))
@@ -302,13 +313,37 @@ class TestFuse:
             fp = qf.build_fusion(p, x1, x2)
             submodular = all(
                 t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1] >= 0
-                for t in fp.tables.values())
+                for t in fp.tables)
             if not submodular or fp.num_variables == 0:
                 continue
             tested += 1
             fused = qf.fuse(p, x1, x2, mode="qpbo-i", rng=0)
             oracle, _ = restricted_space_optimum(p, x1, x2)
             assert qf.energy(p, fused) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("scale", [2.0**-46, 2.0**40])
+    def test_qpbo_mode_invariant_under_power_of_two_scaling(self, scale):
+        # Scaling every cost by a power of two is exact, so the result must
+        # not move.  The proposal shares no label with the incumbent: a
+        # penalty is 1 + the cost ranges, and that 1 does not scale.
+        rng = np.random.default_rng(43)
+        tested = 0
+        while tested < 100:
+            p = random_problem(rng, max_nodes=7, min_nodes=4, max_labels=9, integer=False)
+            x1 = random_feasible_assignment(p, rng)
+            x2 = np.full(p.num_nodes, qf.DUMMY)
+            used = set(x1.tolist())
+            for u in rng.permutation(p.num_nodes):
+                options = [int(s) for s in p.candidate_labels[u] if int(s) not in used]
+                if options and rng.random() < 0.8:
+                    x2[u] = options[int(rng.integers(len(options)))]
+                    used.add(x2[u])
+            if np.sum(x1 != x2) < 2:
+                continue
+            tested += 1
+            fused = qf.fuse(p, x1, x2, mode="qpbo-i", rng=tested)
+            scaled = qf.fuse(scaled_problem(p, scale), x1, x2, mode="qpbo-i", rng=tested)
+            assert np.array_equal(scaled, fused)
 
     def test_exact_mode_size_guard(self):
         n = 25

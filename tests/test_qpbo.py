@@ -4,10 +4,13 @@ import pytest
 import qapfuse as qf
 from helpers import enumerate_binary_energies
 
+NO_PAIRS, NO_TABLES = np.empty((0, 2), dtype=np.int64), np.empty((0, 2, 2))
+
 
 def random_binary_problem(rng, num_vars, edge_prob=0.6, force_submodular=False):
+    """(unary, pairs, tables) in roof_duality's flat format."""
     unary = rng.uniform(-5.0, 5.0, (num_vars, 2))
-    tables = {}
+    pairs, tables = [], []
     for i in range(num_vars):
         for j in range(i + 1, num_vars):
             if rng.random() < edge_prob:
@@ -16,14 +19,16 @@ def random_binary_problem(rng, num_vars, edge_prob=0.6, force_submodular=False):
                     defect = t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1]
                     if defect < 0:
                         t[0, 1] -= defect
-                tables[(i, j)] = t
-    return unary, tables
+                pairs.append((i, j))
+                tables.append(t)
+    return (unary, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            np.array(tables).reshape(-1, 2, 2))
 
 
-def agreeing_optimum_exists(labels, energies):
+def agreeing_optimum_exists(labels, energies, tol=1e-9):
     floor = min(energies.values())
     for bits, value in energies.items():
-        if value <= floor + 1e-9:
+        if value <= floor + tol:
             if all(l < 0 or l == b for l, b in zip(labels, bits)):
                 return True
     return False
@@ -42,7 +47,7 @@ def test_maxflow_small_network():
 
 
 def test_single_variable_exact():
-    result = qf.roof_duality(1, np.array([[5.0, 3.0]]), {})
+    result = qf.roof_duality(np.array([[5.0, 3.0]]), NO_PAIRS, NO_TABLES)
     assert result.labels[0] == 1
     assert result.flow_value == pytest.approx(3.0)
     assert result.persistency_certified[0]
@@ -51,10 +56,10 @@ def test_single_variable_exact():
 def test_two_variable_submodular_matches_enumeration():
     rng = np.random.default_rng(17)
     for _ in range(100):
-        unary, tables = random_binary_problem(rng, 2, edge_prob=1.0,
-                                              force_submodular=True)
-        result = qf.roof_duality(2, unary, tables)
-        energies = enumerate_binary_energies(2, unary, tables)
+        unary, pairs, tables = random_binary_problem(rng, 2, edge_prob=1.0,
+                                                     force_submodular=True)
+        result = qf.roof_duality(unary, pairs, tables)
+        energies = enumerate_binary_energies(unary, pairs, tables)
         best = min(energies.values())
         assert (result.labels >= 0).all()
         assert result.flow_value == pytest.approx(best, abs=1e-9)
@@ -67,10 +72,10 @@ def test_frustrated_supermodular_cycle():
     # integral and leaves variables unlabeled.
     unary = np.zeros((3, 2))
     table = np.array([[1.0, 0.0], [0.0, 1.0]])
-    tables = {(0, 1): table, (0, 2): table, (1, 2): table}
-    result = qf.roof_duality(3, unary, tables)
+    pairs, tables = np.array([[0, 1], [0, 2], [1, 2]]), np.array([table] * 3)
+    result = qf.roof_duality(unary, pairs, tables)
     assert (result.labels < 0).any()
-    energies = enumerate_binary_energies(3, unary, tables)
+    energies = enumerate_binary_energies(unary, pairs, tables)
     assert result.flow_value <= min(energies.values()) + 1e-9
     assert agreeing_optimum_exists(result.labels, energies)
 
@@ -79,19 +84,54 @@ def test_persistency_on_random_problems():
     rng = np.random.default_rng(29)
     for trial in range(300):
         k = int(rng.integers(2, 9))
-        unary, tables = random_binary_problem(
+        unary, pairs, tables = random_binary_problem(
             rng, k, force_submodular=(trial % 2 == 0))
-        result = qf.roof_duality(k, unary, tables)
-        energies = enumerate_binary_energies(k, unary, tables)
+        result = qf.roof_duality(unary, pairs, tables)
+        energies = enumerate_binary_energies(unary, pairs, tables)
         assert result.flow_value <= min(energies.values()) + 1e-9
         assert agreeing_optimum_exists(result.labels, energies)
         submodular = all(t[0, 1] + t[1, 0] - t[0, 0] - t[1, 1] >= 0
-                         for t in tables.values())
+                         for t in tables)
         if submodular:
             assert (result.labels >= 0).all()
             assert result.flow_value == pytest.approx(min(energies.values()), abs=1e-9)
 
 
 def test_constant_passes_through():
-    result = qf.roof_duality(1, np.array([[0.0, 2.0]]), {}, constant=7.5)
+    result = qf.roof_duality(np.array([[0.0, 2.0]]), NO_PAIRS, NO_TABLES, constant=7.5)
     assert result.flow_value == pytest.approx(7.5)
+
+
+def test_separable_tables_at_large_cost_scale():
+    # A table a_i + b_j has defect 0 in exact arithmetic; at 1e12 its two
+    # routed halves' defects round to tiny values of either sign, which the
+    # network build must not reject.
+    rng = np.random.default_rng(61)
+    scale = 1e12
+    for _ in range(2000):
+        k = int(rng.integers(2, 9))
+        unary = rng.uniform(-5.0, 5.0, (k, 2)) * scale
+        pairs = np.array([(i, j) for i in range(k) for j in range(i + 1, k)
+                          if rng.random() < 0.6], dtype=np.int64).reshape(-1, 2)
+        a, b = rng.uniform(-5.0, 5.0, (2, len(pairs), 2))
+        tables = (a[:, :, None] + b[:, None, :]) * scale
+        result = qf.roof_duality(unary, pairs, tables)
+        energies = enumerate_binary_energies(unary, pairs, tables)
+        tol = 1e-9 * (np.abs(unary).sum() + np.abs(tables).sum())
+        assert result.flow_value <= min(energies.values()) + tol
+        assert agreeing_optimum_exists(result.labels, energies, tol)
+
+
+@pytest.mark.parametrize("scale", [2.0**-46, 2.0**40])
+def test_power_of_two_scaling_leaves_labels_unchanged(scale):
+    # Every step of the network build and the flow scales exactly by a
+    # power of two, so with a saturation threshold relative to the largest
+    # capacity the labels stay and the bound scales exactly.
+    rng = np.random.default_rng(67)
+    for trial in range(400):
+        k = int(rng.integers(2, 9))
+        unary, pairs, tables = random_binary_problem(rng, k, force_submodular=(trial % 2 == 0))
+        base = qf.roof_duality(unary, pairs, tables, constant=1.5)
+        scaled = qf.roof_duality(unary * scale, pairs, tables * scale, constant=1.5 * scale)
+        assert np.array_equal(scaled.labels, base.labels)
+        assert scaled.flow_value == base.flow_value * scale

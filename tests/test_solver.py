@@ -15,6 +15,21 @@ from helpers import (
 )
 
 
+def count_energy_calls(monkeypatch):
+    """Route the solver's and fusion's energy evaluations through a spy;
+    returns the list it appends to."""
+    calls = []
+    real = qf.model.energy
+
+    def spy(problem, x):
+        calls.append(x)
+        return real(problem, x)
+
+    for module in (qf.solver, qf.fusion):
+        monkeypatch.setattr(module, "energy", spy)
+    return calls
+
+
 class TestSolve:
     def test_single_node_proved_optimal(self):
         p = qf.Problem(1, 1, [[0]], [np.array([-1.0, 0.0])])
@@ -136,6 +151,19 @@ class TestSolve:
         assert len(calls) == sweeps
         assert sum(r.event == "lap" for r in trace) == 3 * sweeps
 
+    def test_one_energy_evaluation_per_fusion(self, monkeypatch):
+        # fuse compares its result with the incumbent on the auxiliary
+        # energy, and the solver already holds the incumbent's energy.
+        calls = count_energy_calls(monkeypatch)
+        p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
+        for heuristic in ("greedy", "lap"):
+            calls.clear()
+            cfg = qf.SolverConfig(max_batches=10, seed=5, primal_heuristic=heuristic)
+            trace = qf.solve(p, cfg).trace
+            fusions = sum(r.event in ("fusion", "improved") for r in trace)
+            assert fusions > 0
+            assert len(calls) <= 1 + fusions
+
     def test_time_budget_stops_early(self):
         rng = np.random.default_rng(14)
         p = random_problem(rng, max_nodes=5, min_nodes=5, edge_prob=1.0)
@@ -229,6 +257,17 @@ class TestFuseSequence:
             final_energy = incumbent[-1]
             assert all(final_energy <= qf.energy(p, x) + 1e-9 for x in proposals)
             assert qf.is_feasible(p, final)
+
+    def test_one_energy_evaluation_per_fusion(self, monkeypatch):
+        # Each step scores its proposal; the fusion adds at most one
+        # evaluation, of a result that differs from the incumbent.
+        calls = count_energy_calls(monkeypatch)
+        rng = np.random.default_rng(24)
+        p = random_problem(rng, max_nodes=7, min_nodes=7, max_labels=7)
+        proposals = [random_assignment(p, rng) for _ in range(12)]
+        final, steps = qf.fuse_sequence(p, proposals, mode="qpbo-i")
+        assert len(calls) <= 1 + 2 * len(proposals)
+        assert steps[-1][2] == qf.model.energy(p, final)
 
     def test_infeasible_prefix_falls_back_to_dummy_seed(self):
         p = qf.Problem(2, 1, [[0], [0]],
