@@ -8,6 +8,7 @@ Feasibility means no right point is used twice.
 import numpy as np
 
 import qapfuse as qf
+from qapfuse.model import matching_side
 
 # Node u's candidate labels, its unary costs (one per candidate, dummy last),
 # and pairwise cost tables per edge (dummy row/column last).
@@ -37,14 +38,18 @@ print("assignment", clash, "energy:", qf.energy(problem, clash),
 print("all-dummy energy:", qf.energy(problem, qf.all_dummy(problem)))
 
 # A reparametrization moves cost between the matching side, the edges and
-# the assignment side without changing any total energy.
-repar = qf.Reparametrization(problem)
-repar.set_label_msg(0, np.array([3.0, -1.0]))
-repar.set_edge_msg(0, 1, np.array([0.5, 0.5, 0.5]))
-decomposed = 0.0
-for u in range(problem.num_nodes):
-    decomposed += qf.reparametrized_unary(problem, repar, u, int(x[u]))
-    decomposed += qf.lap_unary(problem, repar, u, int(x[u]))
-for u, v in problem.edges:
-    decomposed += qf.reparametrized_pairwise(problem, repar, u, v, int(x[u]), int(x[v]))
-print("decomposed total:", decomposed, "(equals the plain energy)")
+# the assignment side without changing any total energy.  One dual sweep
+# sets one up; the assignment's slots pick its terms from the flat arrays.
+state = qf.DualState.initial(problem)
+qf.sweep(problem, state)
+repar = state.repar
+slots = problem.slots(x)
+local = slots - problem.offsets[:-1]
+sides = matching_side(problem, repar) + qf.assignment_side(problem, repar)
+decomposed = float(sides[slots].sum())
+for e, (u, v) in enumerate(problem.edges):
+    cell = problem.edge_start[e] + local[u] * problem.edge_cols[e] + local[v]
+    mu, mv = problem.msg_start[e]
+    decomposed += float(problem.table_buffer[cell] + repar.edge_flat[mu + local[u]]
+                        + repar.edge_flat[mv + local[v]])
+print(f"decomposed total: {decomposed:.6g} (equals the plain energy)")

@@ -29,7 +29,8 @@ print("assignments:", len(instance.assignments),
 
 problem = qf.to_problem(instance)
 print(problem)
-print("candidates per node:", [list(map(int, c)) for c in problem.candidate_labels])
+spans = zip(problem.offsets[:-1], problem.offsets[1:])
+print("candidates per node:", [problem.slot_labels[a:b - 1].tolist() for a, b in spans])
 
 # Round-trip: writing and re-parsing reproduces the instance exactly.
 buffer = io.StringIO()

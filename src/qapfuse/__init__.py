@@ -15,12 +15,6 @@ from .model import (
     assignment_side,
     energy,
     is_feasible,
-    lap_unary,
-    lap_unary_vector,
-    reparametrized_pairwise,
-    reparametrized_pairwise_table,
-    reparametrized_unary,
-    reparametrized_unary_vector,
     validate_assignment,
 )
 from .ddio import (
@@ -60,10 +54,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DUMMY", "Problem", "Reparametrization", "all_dummy", "assignment_side",
-    "energy", "is_feasible",
-    "lap_unary", "lap_unary_vector", "reparametrized_pairwise",
-    "reparametrized_pairwise_table", "reparametrized_unary",
-    "reparametrized_unary_vector", "validate_assignment",
+    "energy", "is_feasible", "validate_assignment",
     "DdAssignment", "DdInstance", "DdPairwiseTerm", "ParseError",
     "SolverTraceRecord", "parse_dd", "parse_proposals", "read_trace",
     "to_problem", "write_dd", "write_proposals", "write_trace",

@@ -54,7 +54,7 @@ def dual_bound(problem, repar):
     """
     edge_min = [np.zeros(0)]
     for batch in problem.batches:
-        for table, _, _, mu, mv, _ in batch:
+        for table, _, _, mu, mv in batch:
             msg_u, msg_v = repar.batch_messages(table, mu, mv)
             edge_min.append((table + msg_u[:, :, None] + msg_v[:, None, :]).min(axis=(1, 2)))
     node_min = np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1])
@@ -75,14 +75,14 @@ def _midpoints(values, starts):
 
 def update_edge_messages(problem, repar, level):
     """Optimal block update of both message directions of every edge in
-    ``problem.levels[level]``.
+    level ``level`` of ``problem.batches``.
 
     Accumulation moves both reparametrized unaries into the edge table;
     redistribution hands the table's minima back: half of each row minimum
     to u, then full column minima to v, then the remaining row minima to u.
     """
     side = matching_side(problem, repar)
-    for table, u_slot, v_slot, mu, mv, _ in problem.batches[level]:
+    for table, u_slot, v_slot, mu, mv in problem.batches[level]:
         old_u, old_v = repar.batch_messages(table, mu, mv)
         iu = u_slot[:, None] + np.arange(table.shape[1])
         iv = v_slot[:, None] + np.arange(table.shape[2])
@@ -153,7 +153,7 @@ def sweep(problem, state, between=None):
     """
     before = state.dual_bound
 
-    for level in range(len(problem.levels)):
+    for level in range(len(problem.batches)):
         update_edge_messages(problem, state.repar, level)
     if between is not None:
         between()

@@ -15,9 +15,10 @@ Inside the auxiliary problem that rule becomes a penalty on every cell
 that would give one label to two nodes: between two free variables it
 sits in their (possibly newly created) 2x2 table, between a free variable
 and a folded node on the free variable's unary side.  The penalty is local
-to each fusion: 1 + the sum of the ranges of the auxiliary problem's own
-unary rows and tables, so it exceeds the energy difference of any two
-labelings, and costs between folded nodes do not touch it.
+to each fusion: twice the sum of the ranges of the auxiliary problem's own
+unary rows and tables (1 when every range is 0), so it exceeds the energy
+difference of any two labelings, scales with the costs, and costs between
+folded nodes do not touch it.
 
 The auxiliary problem is solved either exactly (enumeration of the
 feasible decodes, the desk-scale oracle) or by roof duality plus a seeded
@@ -122,8 +123,10 @@ def build_fusion(problem, x1, x2):
     blocks = cells(both[:, None, None], lu[:, both].T[:, :, None], lv[:, both].T[:, None, :])
     row = {pair: r for r, pair in enumerate(zip(var[u[both]].tolist(), var[v[both]].tolist()))}
 
-    # One penalty exceeds the energy difference of any two labelings.
-    big = 1.0 + float(np.ptp(unary, axis=1).sum() + np.ptp(blocks, axis=(1, 2)).sum())
+    # One penalty exceeds the energy difference of any two labelings, and
+    # scales with the costs.
+    spread = float(np.ptp(unary, axis=1).sum() + np.ptp(blocks, axis=(1, 2)).sum())
+    big = 2.0 * spread if spread > 0.0 else 1.0
 
     # Penalize every side whose label a folded node holds, and every pair
     # of sides of two variables that share a label.

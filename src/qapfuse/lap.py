@@ -38,20 +38,17 @@ def solve_lap(problem, costs):
 
     rows, cols = linear_sum_assignment(matrix)
     labels = np.full(n, DUMMY, dtype=np.int64)
-    value = 0.0
-    for u, c in zip(rows, cols):
-        if c < L:
-            # A non-candidate (blocked) cell can never be optimal: the
-            # private dummy column is always available at cost 0.
-            assert matrix[u, c] != blocked
-            labels[u] = c
-            value += float(costs[problem.offsets[u] + problem.local_index(u, c)])
-    return labels, value
+    labels[rows] = np.where(cols < L, cols, DUMMY)
+    # A non-candidate (blocked) cell can never be optimal, as the private
+    # dummy column is always available at cost 0; slots() would reject it.
+    chosen = labels != DUMMY
+    return labels, sequential_sum(costs[problem.slots(labels)[chosen]])
 
 
 def label_min_term(problem, repar):
     """Sum over labels of min(0, cheapest owner's assignment-side cost),
-    added one label at a time in ``problem.label_owners`` order."""
+    added one label at a time in ``problem.label_slots`` order: labels by
+    their first owner slot."""
     values = np.append(assignment_side(problem, repar), 0.0)[problem.label_slots]
     best = np.minimum.reduceat(values, problem.label_starts)
     return sequential_sum(np.where(best < 0.0, best, 0.0))

@@ -11,15 +11,16 @@ distinct nodes; the dummy may repeat freely.
 Assignments are plain integer numpy arrays of length ``num_nodes`` holding
 global label ids, with ``DUMMY`` (= -1) for the dummy.
 
-A :class:`Problem` is stored once, in flat arrays; its per-node and
-per-edge attributes (``unary``, ``pairwise``, ...) are views into them.
+A :class:`Problem` is stored once, in flat arrays over *slots* (a node's
+candidates, then its dummy) and over edges; there are no per-node or
+per-edge views.
 
 :class:`Reparametrization` holds the dual variables: per-edge message
 vectors in both directions (shifting cost between node unaries and edge
 tables) and per-node label messages (shifting cost between the matching
 side and the linear-assignment side).  Every assignment's total energy is
-invariant under them; see :func:`reparametrized_unary`,
-:func:`reparametrized_pairwise` and :func:`lap_unary`.
+invariant under them: it equals its :func:`matching_side` and
+:func:`assignment_side` costs plus its message-adjusted edge table cells.
 
 All costs are doubles.  Cost magnitudes are assumed to stay comfortably
 inside double range; overflow behaviour is undefined.
@@ -56,12 +57,17 @@ class Problem:
 
     Layout: node u owns the *slots* ``offsets[u]:offsets[u + 1]`` (its
     candidates, then the dummy), and ``unary_flat``, ``slot_labels`` and the
-    messages run over slots.  Edge (u, v) gets level 1 + the largest level
-    of earlier ``edges`` touching u or v, so a level's edges share no node
-    and running ``levels`` in order equals the lexicographic edge loop.
-    ``table_buffer`` holds every table, read-only, in (level, shape) order;
-    ``batches[level]`` cuts it into zero-copy ``(G, a, b)`` stacks.  The
-    instance is safe to share across threads after construction.
+    messages run over slots.  Edge e = ``edges[e]`` = (u, v) gets level 1 +
+    the largest level of earlier edges touching u or v, so a level's edges
+    share no node and running the levels in order equals the lexicographic
+    edge loop.  ``table_buffer`` holds every table, read-only, in (level,
+    shape) order; ``batches[level]`` cuts it into zero-copy ``(G, a, b)``
+    stacks, and edge e's table starts at ``edge_start[e]`` with
+    ``edge_cols[e]`` columns.  Its u-side and v-side message blocks start
+    at ``msg_start[e]`` in the reparametrization's ``edge_flat``.  Node u's
+    neighbours, ascending, are ``nbr_nodes[nbr_start[u]:nbr_start[u + 1]]``
+    with their edges in ``nbr_edges``.  The instance is safe to share
+    across threads after construction.
     """
 
     def __init__(self, num_nodes, num_labels, candidate_labels, unary, pairwise=None):
@@ -96,9 +102,6 @@ class Problem:
         # node * (num_labels + 1) + label, the dummy as num_labels: sorted.
         self.slot_keys = np.repeat(np.arange(n), size) * (self.num_labels + 1) + np.where(
             self.slot_labels == DUMMY, self.num_labels, self.slot_labels)
-        spans = list(zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()))
-        self.candidate_labels = [self.slot_labels[a:b - 1] for a, b in spans]
-        self.unary = [self.unary_flat[a:b] for a, b in spans]
 
         items = sorted((pairwise or {}).items())
         self.edges = []
@@ -118,26 +121,26 @@ class Problem:
             last[u] = last[v] = level[-1] + 1
         self._build_tables([t for _, t in items], level)
 
-        self.neighbors = [[] for _ in range(n)]
-        for u, v in self.edges:
-            self.neighbors[u].append(v)
-            self.neighbors[v].append(u)  # sorted, as edges are
+        # Every edge once from each end, sorted by (node, neighbour).
+        own = self.edge_nodes.T.ravel()
+        other = self.edge_nodes[:, ::-1].T.ravel()
+        order = np.lexsort((other, own))
+        self.nbr_nodes = other[order]
+        self.nbr_edges = np.tile(np.arange(len(self.edges)), 2)[order]
+        self.nbr_start = np.concatenate(([0], np.cumsum(np.bincount(own, minlength=n))))
 
-        # label_owners[s] = [(node, local index), ...] for every node whose
-        # candidate set contains the global label s.  label_slots lists each
-        # label's owner slots and then the sentinel slot len(slot_labels),
-        # the zero-cost dummy node, in label_owners order.
-        self.label_owners = {}
-        for u, cand in enumerate(self.candidate_labels):
-            for i, s in enumerate(cand.tolist()):
-                self.label_owners.setdefault(s, []).append((u, i))
-        sentinel = self.slot_labels.size
-        owner_slots, starts = [], []
-        for owners in self.label_owners.values():
-            starts.append(len(owner_slots))
-            owner_slots += [spans[u][0] + i for u, i in owners] + [sentinel]
-        self.label_slots = np.array(owner_slots, dtype=np.int64)
-        self.label_starts = np.array(starts, dtype=np.int64)
+        # label_slots lists each owned label's owner slots in slot order and
+        # then the sentinel slot len(slot_labels), the zero-cost dummy node;
+        # labels run in the order of their first owner slot, and
+        # label_starts[r] is where the r-th label's run begins.
+        owned = np.flatnonzero(self.slot_labels != DUMMY)
+        _, first, label, count = np.unique(self.slot_labels[owned], return_index=True,
+                                           return_inverse=True, return_counts=True)
+        count = count[np.argsort(first)]
+        self.label_starts = np.cumsum(count + 1) - count - 1
+        self.label_slots = np.full(owned.size + count.size, self.slot_labels.size)
+        self.label_slots[np.arange(owned.size) + np.repeat(np.arange(count.size), count)] = (
+            owned[np.argsort(first[label], kind="stable")])
 
         self.cost_scale = max(float(max(c.max(initial=0.0), -c.min(initial=0.0)))
                               for c in (self.unary_flat, self.table_buffer))
@@ -160,16 +163,12 @@ class Problem:
         self.edge_start = np.array(start[:-1], dtype=np.int64)[self.edge_rank]
         self.edge_cols = np.array([b for _, b in shape], dtype=np.int64)
         self.edge_nodes = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        self.pairwise = {edge: self.table_buffer[s:s + t.size].reshape(t.shape)
-                         for edge, s, t in zip(self.edges, self.edge_start.tolist(), tables)}
 
         # One batch per level, one entry per table shape in it: the (G, a, b)
-        # tables, the first slots of the u and v endpoints, the offsets of
-        # the (G, a) u-side and (G, b) v-side message blocks, and the edges.
-        self.levels = [[] for _ in range(max(level, default=-1) + 1)]
-        for e, lev in enumerate(level):
-            self.levels[lev].append(self.edges[e])
-        self.batches = [[] for _ in self.levels]
+        # tables, the first slots of the u and v endpoints, and the offsets
+        # of the (G, a) u-side and (G, b) v-side message blocks.
+        self.batches = [[] for _ in range(max(level, default=-1) + 1)]
+        self.msg_start = np.empty((len(order), 2), dtype=np.int64)
         msg = pos = 0
         for (lev, (a, b)), run in itertools.groupby(order, key=lambda e: (level[e], shape[e])):
             run = list(run)
@@ -177,24 +176,12 @@ class Problem:
             ends = self.edge_nodes[run]
             self.batches[lev].append(
                 (self.table_buffer[start[pos]:start[pos + g]].reshape(g, a, b),
-                 self.offsets[ends[:, 0]], self.offsets[ends[:, 1]], msg, msg + g * a,
-                 [self.edges[e] for e in run]))
+                 self.offsets[ends[:, 0]], self.offsets[ends[:, 1]], msg, msg + g * a))
+            self.msg_start[run, 0] = msg + a * np.arange(g)
+            self.msg_start[run, 1] = msg + g * a + b * np.arange(g)
             msg += g * (a + b)
             pos += g
         self.msg_size = msg
-
-    def num_candidates(self, u):
-        return self.candidate_labels[u].size
-
-    def local_index(self, u, s):
-        """Map a global label (or DUMMY) to node u's local index."""
-        cand = self.candidate_labels[u]
-        if s == DUMMY:
-            return cand.size
-        i = int(np.searchsorted(cand, s))
-        if i < cand.size and cand[i] == s:
-            return i
-        raise ValueError(f"label {s} is not a candidate of node {u}")
 
     def slots(self, x):
         """Flat slot of every node's label in assignment x; ValueError
@@ -211,15 +198,6 @@ class Problem:
             u = int(bad[0])
             raise ValueError(f"node {u}: label {x[u]} not in its candidate set")
         return slots
-
-    def owners(self, s):
-        return self.label_owners.get(int(s), [])
-
-    def pairwise_table(self, u, v):
-        """Cost table oriented as (u-labels, v-labels) for edge {u, v}."""
-        if u < v:
-            return self.pairwise[(u, v)]
-        return self.pairwise[(v, u)].T
 
     def __repr__(self):
         return (f"Problem(num_nodes={self.num_nodes}, num_labels={self.num_labels}, "
@@ -267,35 +245,23 @@ class Reparametrization:
     invariant under them.
 
     Three flat arrays hold them: ``edge_flat`` (edge messages, laid out
-    like the problem's table batches), ``label_flat`` and ``msg_sums``
-    (label messages and the sum of each node's outgoing edge messages, both
-    over the problem's slots).  The per-edge and per-node views stay:
+    like the problem's table batches; edge e's u-side and v-side blocks,
+    one entry per slot of that endpoint, start at ``problem.msg_start[e]``),
+    ``label_flat`` and ``msg_sums`` (label messages and the sum of each
+    node's edge messages, both over the problem's slots).  Each dummy slot's
+    label message is pinned to half the node's dummy cost, so the
+    assignment-side dummy cost is always 0.
 
-    edge_msg[(u, v)]:
-        one vector per ordered edge direction, length k_u + 1 (dummy last);
-        both directions exist for every edge.
-    label_msg[u]:
-        vector of length k_u + 1; the dummy entry is pinned to half the
-        node's dummy cost, so the assignment-side dummy cost is always 0.
-
-    Mutate through :meth:`set_edge_msg` / :meth:`set_label_msg` (or the dual
-    update routines) so the message sums stay consistent.  A
+    The state changes only through the dual update routines of
+    :mod:`qapfuse.dualbca`, which keep ``msg_sums`` consistent.  A
     Reparametrization is an independently owned mutable value; it is not
     internally synchronized.
     """
 
     def __init__(self, problem):
-        self.problem = problem
         self.edge_flat = np.zeros(problem.msg_size)
         self.label_flat = np.where(problem.slot_labels == DUMMY, problem.unary_flat / 2.0, 0.0)
         self.msg_sums = np.zeros(problem.unary_flat.size)
-        self.edge_msg = {}
-        for batch in problem.batches:
-            for table, _, _, mu, mv, edges in batch:
-                for (u, v), msg_u, msg_v in zip(edges, *self.batch_messages(table, mu, mv)):
-                    self.edge_msg[(u, v)], self.edge_msg[(v, u)] = msg_u, msg_v
-        offsets = problem.offsets.tolist()
-        self.label_msg = [self.label_flat[a:b] for a, b in zip(offsets, offsets[1:])]
 
     def batch_messages(self, table, mu, mv):
         """The (G, a) u-side and (G, b) v-side message views of one batch."""
@@ -303,64 +269,14 @@ class Reparametrization:
         return (self.edge_flat[mu:mu + g * a].reshape(g, a),
                 self.edge_flat[mv:mv + g * b].reshape(g, b))
 
-    def msg_sum(self, u):
-        return self.msg_sums[self.problem.offsets[u]:self.problem.offsets[u + 1]]
-
-    def set_edge_msg(self, u, v, values):
-        values = np.asarray(values, dtype=np.float64)
-        old = self.edge_msg[(u, v)]
-        if values.shape != old.shape:
-            raise ValueError("edge message has wrong length")
-        self.msg_sum(u)[:] += values - old
-        old[:] = values
-
-    def set_label_msg(self, u, values):
-        """Set the real-label entries of node u's label message (dummy pinned)."""
-        values = np.asarray(values, dtype=np.float64)
-        k = self.problem.num_candidates(u)
-        if values.shape != (k,):
-            raise ValueError("label message must cover the real candidates only")
-        self.label_msg[u][:k] = values
-
 
 def matching_side(problem, repar):
-    """:func:`reparametrized_unary_vector` of every node, over all slots."""
+    """Matching-side unary cost of every slot: theta / 2 + label message -
+    the node's edge messages."""
     return problem.unary_flat / 2.0 + repar.label_flat - repar.msg_sums
 
 
 def assignment_side(problem, repar):
-    """:func:`lap_unary_vector` of every node, over all slots."""
+    """Assignment-side unary cost of every slot: theta / 2 - label message,
+    0 at every dummy slot."""
     return problem.unary_flat / 2.0 - repar.label_flat
-
-
-def reparametrized_unary_vector(problem, repar, u):
-    """Matching-side unary view at node u: theta/2 + label message - edge messages."""
-    return problem.unary[u] / 2.0 + repar.label_msg[u] - repar.msg_sum(u)
-
-
-def reparametrized_pairwise_table(problem, repar, u, v):
-    """Edge table plus both incoming edge messages, oriented (u-labels, v-labels)."""
-    table = problem.pairwise_table(u, v)
-    return table + repar.edge_msg[(u, v)][:, None] + repar.edge_msg[(v, u)][None, :]
-
-
-def lap_unary_vector(problem, repar, u):
-    """Assignment-side unary view at node u: theta/2 - label message.
-
-    The dummy entry is identically zero because the dummy label message is
-    pinned to half the dummy cost.
-    """
-    return problem.unary[u] / 2.0 - repar.label_msg[u]
-
-
-def reparametrized_unary(problem, repar, u, s):
-    return float(reparametrized_unary_vector(problem, repar, u)[problem.local_index(u, s)])
-
-
-def reparametrized_pairwise(problem, repar, u, v, s, t):
-    table = reparametrized_pairwise_table(problem, repar, u, v)
-    return float(table[problem.local_index(u, s), problem.local_index(v, t)])
-
-
-def lap_unary(problem, repar, u, s):
-    return float(lap_unary_vector(problem, repar, u)[problem.local_index(u, s)])

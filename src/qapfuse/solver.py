@@ -4,10 +4,10 @@ Each batch runs a fixed number of ascent sweeps; between the edge phase
 and the node/label phase of every sweep the solver makes proposals with
 the configured primal heuristic (randomized greedy on reparametrized
 costs, or the exact assignment-side LAP solution, solved once per sweep)
-and fuses each one into the incumbent at once.  The incumbent's energy is non-increasing, the dual
-bound non-decreasing, and the run stops on batch count, wall-clock budget,
-or a proved optimum (gap below 1e-6 of the larger of |energy| and the
-largest cost magnitude).
+and fuses each one into the incumbent at once.  The incumbent's energy is
+non-increasing, the dual bound non-decreasing, and the run stops on batch
+count, wall-clock budget, or a proved optimum (gap below 1e-6 of the
+larger of |energy| and the largest cost magnitude).
 
 Traces are deterministic given the seed: elapsed time in trace records is
 a work-proportional virtual clock by default (so identical runs produce

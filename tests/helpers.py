@@ -3,6 +3,10 @@ oracles (exhaustive enumeration, re-summation, pairwise scans).
 
 The oracles deliberately re-walk the raw problem data with plain Python
 loops so they share no code path with the library routines they check.
+They read a Problem only through the accessors below, which take its flat
+arrays (``slot_labels``, ``offsets``, ``unary_flat``, ``edges``,
+``edge_start``, ``edge_cols``, ``table_buffer``, and ``msg_start`` for the
+edge messages) entry by entry.
 """
 
 import itertools
@@ -10,6 +14,116 @@ import itertools
 import numpy as np
 
 from qapfuse import DUMMY, Problem, Reparametrization
+
+
+def node_slots(problem, u):
+    """Node u's slots: one per candidate, then the dummy's."""
+    return range(problem.offsets[u], problem.offsets[u + 1])
+
+
+def candidates(problem, u):
+    """Node u's candidate labels, ascending."""
+    return [int(problem.slot_labels[i]) for i in node_slots(problem, u)[:-1]]
+
+
+def unary_costs(problem, u):
+    """Node u's unary costs, one per candidate, then the dummy's."""
+    return [float(problem.unary_flat[i]) for i in node_slots(problem, u)]
+
+
+def local_index(problem, u, s):
+    """Position of label s among node u's candidates; the dummy is last."""
+    cand = candidates(problem, u)
+    return len(cand) if s == DUMMY else cand.index(int(s))
+
+
+def edge_index(problem, u, v):
+    """Position of edge {u, v} in ``problem.edges``."""
+    return problem.edges.index((min(u, v), max(u, v)))
+
+
+def table_cell(problem, e, i, j):
+    """Entry (i, j) of edge e's table: row i of its first node's slots,
+    column j of its second's."""
+    return float(problem.table_buffer[problem.edge_start[e] + i * problem.edge_cols[e] + j])
+
+
+def edge_table(problem, e):
+    """Edge e's whole table, (k_u + 1, k_v + 1)."""
+    u, v = problem.edges[e]
+    return np.array([[table_cell(problem, e, i, j) for j in range(len(node_slots(problem, v)))]
+                     for i in range(len(node_slots(problem, u)))])
+
+
+def pairwise_tables(problem):
+    """{(u, v): table} over all edges, in edge order."""
+    return {edge: edge_table(problem, e) for e, edge in enumerate(problem.edges)}
+
+
+def oriented_table(problem, u, v):
+    """Edge {u, v}'s table with u's labels on the rows."""
+    table = edge_table(problem, edge_index(problem, u, v))
+    return table if u < v else table.T
+
+
+def pair_cost(problem, u, v, s, t):
+    """Cost on edge {u, v} of u taking label s and v taking label t."""
+    i, j = local_index(problem, u, s), local_index(problem, v, t)
+    return table_cell(problem, edge_index(problem, u, v), *((i, j) if u < v else (j, i)))
+
+
+def neighbors(problem):
+    """Per node, its neighbours in ascending order."""
+    out = [[] for _ in range(problem.num_nodes)]
+    for u, v in problem.edges:
+        out[u].append(v)
+        out[v].append(u)
+    return [sorted(nb) for nb in out]
+
+
+def label_owners(problem):
+    """{label: [(node, local index), ...]}, labels by first owner, owners
+    in node order."""
+    owners = {}
+    for u in range(problem.num_nodes):
+        for i, s in enumerate(candidates(problem, u)):
+            owners.setdefault(s, []).append((u, i))
+    return owners
+
+
+def edge_message(problem, repar, u, v):
+    """The message of edge {u, v} on u's slots."""
+    e = edge_index(problem, u, v)
+    start = problem.msg_start[e][0 if u < v else 1]
+    return np.array([repar.edge_flat[start + i] for i in range(len(node_slots(problem, u)))])
+
+
+def label_message(problem, repar, u):
+    """Node u's label message, one entry per slot."""
+    return np.array([repar.label_flat[i] for i in node_slots(problem, u)])
+
+
+def message_sum(problem, repar, u):
+    """The stored sum of node u's edge messages, one entry per slot."""
+    return np.array([repar.msg_sums[i] for i in node_slots(problem, u)])
+
+
+def matching_cost(problem, repar, u):
+    """Node u's matching-side unary costs: theta / 2 + label message - the
+    sum of its edge messages."""
+    return (np.array(unary_costs(problem, u)) / 2.0 + label_message(problem, repar, u)
+            - message_sum(problem, repar, u))
+
+
+def assignment_cost(problem, repar, u):
+    """Node u's assignment-side unary costs: theta / 2 - label message."""
+    return np.array(unary_costs(problem, u)) / 2.0 - label_message(problem, repar, u)
+
+
+def adjusted_table(problem, repar, u, v):
+    """Edge {u, v}'s table plus both of its messages, u's labels on the rows."""
+    return (oriented_table(problem, u, v) + edge_message(problem, repar, u, v)[:, None]
+            + edge_message(problem, repar, v, u)[None, :])
 
 
 def random_problem(rng, max_nodes=5, max_labels=4, cost_range=9,
@@ -48,7 +162,7 @@ def random_assignment(problem, rng):
     """Domain-valid assignment, not necessarily feasible."""
     x = np.empty(problem.num_nodes, dtype=np.int64)
     for u in range(problem.num_nodes):
-        options = [DUMMY] + [int(s) for s in problem.candidate_labels[u]]
+        options = [DUMMY] + candidates(problem, u)
         x[u] = options[int(rng.integers(len(options)))]
     return x
 
@@ -58,8 +172,7 @@ def random_feasible_assignment(problem, rng):
     x = np.full(problem.num_nodes, DUMMY, dtype=np.int64)
     used = set()
     for u in rng.permutation(problem.num_nodes):
-        options = [DUMMY] + [int(s) for s in problem.candidate_labels[u]
-                             if int(s) not in used]
+        options = [DUMMY] + [s for s in candidates(problem, u) if s not in used]
         pick = options[int(rng.integers(len(options)))]
         x[u] = pick
         if pick != DUMMY:
@@ -68,31 +181,94 @@ def random_feasible_assignment(problem, rng):
 
 
 def random_reparametrization(problem, rng, scale=3.0):
+    """Random edge and real-label messages, drawn edge by edge (u's side,
+    then v's), then node by node; the dummy label messages stay pinned."""
     repar = Reparametrization(problem)
-    for u, v in problem.edges:
-        repar.set_edge_msg(u, v, rng.uniform(-scale, scale, problem.num_candidates(u) + 1))
-        repar.set_edge_msg(v, u, rng.uniform(-scale, scale, problem.num_candidates(v) + 1))
+    offsets = problem.offsets
+    for e, (u, v) in enumerate(problem.edges):
+        for w, start in zip((u, v), problem.msg_start[e]):
+            size = offsets[w + 1] - offsets[w]
+            repar.edge_flat[start:start + size] = rng.uniform(-scale, scale, size)
     for u in range(problem.num_nodes):
-        k = problem.num_candidates(u)
+        k = len(candidates(problem, u))
         if k:
-            repar.set_label_msg(u, rng.uniform(-scale, scale, k))
+            repar.label_flat[offsets[u]:offsets[u] + k] = rng.uniform(-scale, scale, k)
+    rebuild_message_sums(problem, repar)
     return repar
+
+
+def rebuild_message_sums(problem, repar):
+    """Recompute every node's message sum from the edge messages, adding
+    them in edge order."""
+    offsets = problem.offsets
+    repar.msg_sums[:] = 0.0
+    for e, (u, v) in enumerate(problem.edges):
+        for w, start in zip((u, v), problem.msg_start[e]):
+            for i in range(offsets[w + 1] - offsets[w]):
+                repar.msg_sums[offsets[w] + i] += repar.edge_flat[start + i]
 
 
 def energy_by_resummation(problem, x):
     """Independent energy oracle: plain-loop walk over all cost terms."""
     total = 0.0
     for u in range(problem.num_nodes):
-        cand = [int(s) for s in problem.candidate_labels[u]]
-        idx = len(cand) if x[u] == DUMMY else cand.index(int(x[u]))
-        total += float(problem.unary[u][idx])
-    for (u, v), table in problem.pairwise.items():
-        cu = [int(s) for s in problem.candidate_labels[u]]
-        cv = [int(s) for s in problem.candidate_labels[v]]
-        iu = len(cu) if x[u] == DUMMY else cu.index(int(x[u]))
-        iv = len(cv) if x[v] == DUMMY else cv.index(int(x[v]))
-        total += float(table[iu, iv])
+        total += unary_costs(problem, u)[local_index(problem, u, x[u])]
+    for e, (u, v) in enumerate(problem.edges):
+        total += table_cell(problem, e, local_index(problem, u, x[u]),
+                            local_index(problem, v, x[v]))
     return total
+
+
+def greedy_by_loops(problem, rng, repar=None):
+    """Reference greedy construction on sets and per-node vectors: the
+    same visit order, sums and tie rule (lowest label, the dummy last) as
+    ``greedy_assignment``, one neighbour table column at a time."""
+    rng = np.random.default_rng(rng)
+    n = problem.num_nodes
+    nbrs = neighbors(problem)
+    cand = [candidates(problem, u) for u in range(n)]
+    if repar is None:
+        unary = [np.array(unary_costs(problem, u)) for u in range(n)]
+    else:
+        unary = [matching_cost(problem, repar, u) for u in range(n)]
+
+    labels = np.full(n, DUMMY, dtype=np.int64)
+    local = [0] * n
+    assigned = [False] * n
+    used = set()
+    frontier = set()
+    for _ in range(n):
+        pool = sorted(frontier) if frontier else [u for u in range(n) if not assigned[u]]
+        u = pool[int(rng.integers(len(pool)))]
+
+        totals = unary[u].copy()
+        for v in nbrs[u]:
+            if assigned[v]:
+                t = local[v]
+                column = oriented_table(problem, u, v)[:, t]
+                if repar is not None:
+                    column = (column + edge_message(problem, repar, u, v)
+                              + edge_message(problem, repar, v, u)[t])
+                totals = totals + column
+        k = len(cand[u])
+        blocked = [i for i, s in enumerate(cand[u]) if s in used]
+        if blocked:
+            totals[blocked] = np.inf
+
+        best = np.min(totals)
+        choice = k
+        for i in range(k):
+            if totals[i] == best:
+                choice = i
+                break
+        if choice < k:
+            labels[u] = cand[u][choice]
+            used.add(cand[u][choice])
+        local[u] = choice
+        assigned[u] = True
+        frontier.discard(u)
+        frontier.update(v for v in nbrs[u] if not assigned[v])
+    return labels
 
 
 def feasible_by_pairwise_scan(x):
@@ -107,8 +283,7 @@ def feasible_by_pairwise_scan(x):
 
 def enumerate_assignments(problem):
     """All domain-valid assignments (feasible or not)."""
-    domains = [[DUMMY] + [int(s) for s in problem.candidate_labels[u]]
-               for u in range(problem.num_nodes)]
+    domains = [[DUMMY] + candidates(problem, u) for u in range(problem.num_nodes)]
     for combo in itertools.product(*domains):
         yield np.array(combo, dtype=np.int64)
 
@@ -124,8 +299,7 @@ def enumerate_feasible(problem):
             return
         x[u] = DUMMY
         yield from rec(u + 1, used)
-        for s in problem.candidate_labels[u]:
-            s = int(s)
+        for s in candidates(problem, u):
             if s not in used:
                 x[u] = s
                 used.add(s)
@@ -155,8 +329,7 @@ def lap_optimum_by_enumeration(problem, costs):
         if u == n:
             return 0.0
         best = rec(u + 1, used)  # dummy
-        for i, s in enumerate(problem.candidate_labels[u]):
-            s = int(s)
+        for i, s in enumerate(candidates(problem, u)):
             if s not in used:
                 used.add(s)
                 best = min(best, float(costs[problem.offsets[u] + i]) + rec(u + 1, used))
@@ -192,17 +365,23 @@ def restricted_space_optimum_pruned(problem, x1, x2):
     n = problem.num_nodes
     free = [u for u in range(n) if x1[u] != x2[u]]
     x = np.asarray(x1, dtype=np.int64).copy()
-    cand = [[int(s) for s in problem.candidate_labels[u]] for u in range(n)]
+    cand = [candidates(problem, u) for u in range(n)]
+    unary = [unary_costs(problem, u) for u in range(n)]
+    nbrs = neighbors(problem)
+    edge_of = {edge: e for e, edge in enumerate(problem.edges)}
     placed = set()
 
     def local(u):
         return len(cand[u]) if x[u] == DUMMY else cand[u].index(int(x[u]))
 
     def place_cost(u):
-        total = float(problem.unary[u][local(u)])
-        for v in problem.neighbors[u]:
+        total = unary[u][local(u)]
+        for v in nbrs[u]:
             if v in placed:
-                total += float(problem.pairwise_table(u, v)[local(u), local(v)])
+                if u < v:
+                    total += table_cell(problem, edge_of[(u, v)], local(u), local(v))
+                else:
+                    total += table_cell(problem, edge_of[(v, u)], local(v), local(u))
         return total
 
     used = set()
@@ -259,9 +438,10 @@ def enumerate_binary_energies(unary, pairs, tables, constant=0.0):
 
 def scaled_problem(problem, scale):
     """The same instance with every cost multiplied by ``scale``."""
-    return Problem(problem.num_nodes, problem.num_labels, problem.candidate_labels,
-                   [c * scale for c in problem.unary],
-                   {e: t * scale for e, t in problem.pairwise.items()})
+    n = problem.num_nodes
+    return Problem(n, problem.num_labels, [candidates(problem, u) for u in range(n)],
+                   [np.array(unary_costs(problem, u)) * scale for u in range(n)],
+                   {e: t * scale for e, t in pairwise_tables(problem).items()})
 
 
 def geometric_matching_instance(seed, n=12, noise=0.05, outliers=2):

@@ -75,7 +75,7 @@ def test_criterion_2_dual_monotonicity():
             steps += 1
 
         for _ in range(3):  # several passes per state mixes step kinds
-            for level in range(len(problem.levels)):
+            for level in range(len(problem.batches)):
                 qf.update_edge_messages(problem, repar, level)
                 check()
             qf.update_node_messages(problem, repar)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qapfuse as qf
-from helpers import random_dd_text
+from helpers import candidates, edge_table, random_dd_text, unary_costs
 
 MINIMAL = "p 1 1 1 0\na 0 0 0 -2.5\n"
 TWO_NODE = "p 2 2 2 1\na 0 0 0 1\na 1 1 1 1\ne 0 1 -3\n"
@@ -75,14 +75,14 @@ class TestToProblem:
     def test_minimal_mapping(self):
         p = qf.to_problem(qf.parse_dd(MINIMAL))
         assert p.num_nodes == 1 and p.num_labels == 1
-        assert list(p.candidate_labels[0]) == [0]
-        assert p.unary[0][0] == -2.5 and p.unary[0][-1] == 0.0
+        assert candidates(p, 0) == [0]
+        assert unary_costs(p, 0)[0] == -2.5 and unary_costs(p, 0)[-1] == 0.0
         assert p.edges == []
 
     def test_two_node_mapping(self):
         p = qf.to_problem(qf.parse_dd(TWO_NODE))
         assert p.edges == [(0, 1)]
-        table = p.pairwise[(0, 1)]
+        table = edge_table(p, 0)
         assert table.shape == (2, 2)
         assert table[0, 0] == -3.0
         assert table[0, 1] == table[1, 0] == table[1, 1] == 0.0
@@ -90,7 +90,7 @@ class TestToProblem:
     def test_duplicate_pairwise_lines_accumulate(self):
         text = "p 2 2 2 2\na 0 0 0 1\na 1 1 1 1\ne 0 1 -3\ne 0 1 -4\n"
         p = qf.to_problem(qf.parse_dd(text))
-        assert p.pairwise[(0, 1)][0, 0] == -7.0
+        assert edge_table(p, 0)[0, 0] == -7.0
 
     def test_duplicate_left_right_pair_rejected(self):
         text = "p 1 2 2 0\na 0 0 1 1\na 1 0 1 2\n"

@@ -3,10 +3,20 @@ import pytest
 
 import qapfuse as qf
 from helpers import (
+    assignment_cost,
     brute_force_optimum,
+    candidates,
+    edge_message,
+    edge_table,
+    label_message,
+    label_owners,
+    matching_cost,
+    message_sum,
+    neighbors,
     random_problem,
     random_reparametrization,
     scaled_problem,
+    unary_costs,
 )
 
 
@@ -44,9 +54,9 @@ class TestDualBound:
             p = random_problem(rng, max_nodes=5, min_nodes=2, edge_prob=0.0,
                                dummy_cost=0.0)
             r = qf.Reparametrization(p)
-            expected = sum(float((p.unary[u] / 2.0).min()) for u in range(p.num_nodes))
-            for s, owners in p.label_owners.items():
-                expected += min(0.0, min(p.unary[u][i] / 2.0 for u, i in owners))
+            expected = sum(min(unary_costs(p, u)) / 2.0 for u in range(p.num_nodes))
+            for s, owners in label_owners(p).items():
+                expected += min(0.0, min(unary_costs(p, u)[i] / 2.0 for u, i in owners))
             assert qf.dual_bound(p, r) == pytest.approx(expected)
 
     def test_weak_duality_on_random_states(self):
@@ -64,10 +74,10 @@ class TestEdgeUpdate:
                        [np.array([0.0, 0.0])] * 2,
                        {(0, 1): np.zeros((2, 2))})
         r = qf.Reparametrization(p)
-        assert p.levels == [[(0, 1)]]
+        assert len(p.batches) == 1 and len(p.batches[0]) == 1
         qf.update_edge_messages(p, r, 0)
-        assert np.allclose(r.edge_msg[(0, 1)], 0.0)
-        assert np.allclose(r.edge_msg[(1, 0)], 0.0)
+        assert np.allclose(edge_message(p, r, 0, 1), 0.0)
+        assert np.allclose(edge_message(p, r, 1, 0), 0.0)
 
     def test_two_node_bound_matches_enumeration(self):
         # Identity-style pairwise on two nodes: a single edge update makes
@@ -90,7 +100,7 @@ class TestEdgeUpdate:
             if not p.edges:
                 continue
             r = random_reparametrization(p, rng)
-            level = int(rng.integers(len(p.levels)))
+            level = int(rng.integers(len(p.batches)))
             qf.update_edge_messages(p, r, level)
             first = qf.dual_bound(p, r)
             qf.update_edge_messages(p, r, level)
@@ -104,24 +114,23 @@ class TestNodeUpdate:
         # real labels settle at their midpoint 5; the dummy keeps 6.
         p = qf.Problem(1, 2, [[0, 1]], [np.array([8.0, 20.0, 6.0])])
         r = qf.Reparametrization(p)
-        values = qf.reparametrized_unary_vector(p, r, 0)
+        values = matching_cost(p, r, 0)
         np.testing.assert_allclose(values, [4.0, 10.0, 6.0])
         before = qf.dual_bound(p, r)
         qf.update_node_messages(p, r)
-        after = qf.reparametrized_unary_vector(p, r, 0)
+        after = matching_cost(p, r, 0)
         np.testing.assert_allclose(after, [5.0, 5.0, 6.0])
         assert qf.dual_bound(p, r) >= before - 1e-12
 
     def test_all_equal_is_noop(self):
         p = qf.Problem(1, 2, [[0, 1]], [np.array([6.0, 6.0, 3.0])])
         r = qf.Reparametrization(p)
-        r.set_label_msg(0, np.array([0.0, 0.0]))
-        base = qf.reparametrized_unary_vector(p, r, 0).copy()
+        r.label_flat[:2] = [0.0, 0.0]
+        base = matching_cost(p, r, 0)
         # make all three entries equal by shifting the label messages
-        r.set_label_msg(0, np.array([3.0 - base[0], 3.0 - base[1]]))
+        r.label_flat[:2] = [3.0 - base[0], 3.0 - base[1]]
         qf.update_node_messages(p, r)
-        np.testing.assert_allclose(qf.reparametrized_unary_vector(p, r, 0),
-                                   [3.0, 3.0, 3.0])
+        np.testing.assert_allclose(matching_cost(p, r, 0), [3.0, 3.0, 3.0])
 
     def test_equalizes_real_labels(self):
         rng = np.random.default_rng(44)
@@ -130,9 +139,9 @@ class TestNodeUpdate:
             r = random_reparametrization(p, rng)
             qf.update_node_messages(p, r)
             for u in range(p.num_nodes):
-                k = p.num_candidates(u)
+                k = len(candidates(p, u))
                 if k:
-                    values = qf.reparametrized_unary_vector(p, r, u)[:k]
+                    values = matching_cost(p, r, u)[:k]
                     assert np.ptp(values) <= 1e-9
 
 
@@ -142,9 +151,9 @@ class TestLabelUpdate:
         # the midpoint -2.
         p = qf.Problem(1, 1, [[0]], [np.array([-8.0, 0.0])])
         r = qf.Reparametrization(p)
-        assert qf.lap_unary(p, r, 0, 0) == pytest.approx(-4.0)
+        assert assignment_cost(p, r, 0)[0] == pytest.approx(-4.0)
         qf.update_label_messages(p, r)
-        assert qf.lap_unary(p, r, 0, 0) == pytest.approx(-2.0)
+        assert assignment_cost(p, r, 0)[0] == pytest.approx(-2.0)
 
     def test_dummy_minimal_case(self):
         # All assignment-side values positive: the dummy node is minimal,
@@ -153,8 +162,8 @@ class TestLabelUpdate:
                        [np.array([6.0, 0.0]), np.array([14.0, 0.0])])
         r = qf.Reparametrization(p)
         qf.update_label_messages(p, r)
-        assert qf.lap_unary(p, r, 0, 0) == pytest.approx(1.5)
-        assert qf.lap_unary(p, r, 1, 0) == pytest.approx(1.5)
+        assert assignment_cost(p, r, 0)[0] == pytest.approx(1.5)
+        assert assignment_cost(p, r, 1)[0] == pytest.approx(1.5)
 
     def test_unowned_label_is_noop(self):
         # Label 1 has no owner: adding it to the pool changes nothing, and
@@ -164,14 +173,14 @@ class TestLabelUpdate:
         r, t = qf.Reparametrization(p), qf.Reparametrization(q)
         qf.update_label_messages(p, r)
         qf.update_label_messages(q, t)
-        assert np.array_equal(r.label_msg[0], t.label_msg[0])
+        assert np.array_equal(label_message(p, r, 0), label_message(q, t, 0))
         assert qf.dual_bound(p, r) == qf.dual_bound(q, t)
         empty = qf.Problem(1, 2, [[]], [np.array([1.0])])
         r = qf.Reparametrization(empty)
         before = qf.dual_bound(empty, r)
         qf.update_label_messages(empty, r)
         assert qf.dual_bound(empty, r) == before
-        assert np.array_equal(r.label_msg[0], [0.5])
+        assert np.array_equal(label_message(empty, r, 0), [0.5])
 
     def test_equalizes_owners(self):
         rng = np.random.default_rng(45)
@@ -179,8 +188,8 @@ class TestLabelUpdate:
             p = random_problem(rng, max_nodes=4)
             r = random_reparametrization(p, rng)
             qf.update_label_messages(p, r)
-            for s in sorted(p.label_owners):
-                values = [qf.lap_unary_vector(p, r, u)[i] for u, i in p.owners(s)]
+            for owners in label_owners(p).values():
+                values = [assignment_cost(p, r, u)[i] for u, i in owners]
                 assert np.ptp(values) <= 1e-9
 
 
@@ -201,7 +210,7 @@ class TestMonotonicity:
                 bound = new
                 checked += 1
 
-            for level in range(len(p.levels)):
+            for level in range(len(p.batches)):
                 step(qf.update_edge_messages, level)
             step(qf.update_node_messages)
             step(qf.update_label_messages)
@@ -229,7 +238,7 @@ class TestSweep:
         rng = np.random.default_rng(1)
         p = random_problem(rng, max_nodes=4, min_nodes=3, edge_prob=1.0)
         after_edges = qf.Reparametrization(p)
-        for level in range(len(p.levels)):
+        for level in range(len(p.batches)):
             qf.update_edge_messages(p, after_edges, level)
         st = qf.DualState.initial(p)
         seen = []
@@ -283,20 +292,27 @@ class TestSweep:
 
 class ReferenceAscent:
     """Edge-by-edge ascent written out from the update formulas, on plain
-    dicts and lists: edges in lexicographic order, then each node, then
-    each label, each term of the bound added one at a time."""
+    dicts and lists read once from the problem and the starting state:
+    edges in lexicographic order, then each node, then each label, each
+    term of the bound added one at a time."""
 
     def __init__(self, problem, repar):
         self.p = problem
-        self.edge = {key: np.array(msg) for key, msg in repar.edge_msg.items()}
-        self.label = [np.array(msg) for msg in repar.label_msg]
-        self.sums = [np.array(repar.msg_sum(u)) for u in range(problem.num_nodes)]
+        self.costs = [np.array(unary_costs(problem, u)) for u in range(problem.num_nodes)]
+        self.tables = {edge: edge_table(problem, e) for e, edge in enumerate(problem.edges)}
+        self.owners = label_owners(problem)
+        self.edge = {}
+        for u, v in problem.edges:
+            self.edge[(u, v)] = edge_message(problem, repar, u, v)
+            self.edge[(v, u)] = edge_message(problem, repar, v, u)
+        self.label = [label_message(problem, repar, u) for u in range(problem.num_nodes)]
+        self.sums = [message_sum(problem, repar, u) for u in range(problem.num_nodes)]
 
     def unary(self, u):
-        return self.p.unary[u] / 2.0 + self.label[u] - self.sums[u]
+        return self.costs[u] / 2.0 + self.label[u] - self.sums[u]
 
     def assignment(self, u):
-        return self.p.unary[u] / 2.0 - self.label[u]
+        return self.costs[u] / 2.0 - self.label[u]
 
     def set_edge(self, u, v, values):
         self.sums[u] += values - self.edge[(u, v)]
@@ -305,7 +321,7 @@ class ReferenceAscent:
     def sweep(self):
         p = self.p
         for u, v in p.edges:
-            table = p.pairwise[(u, v)]
+            table = self.tables[(u, v)]
             msg_u = self.edge[(u, v)] + self.unary(u)
             msg_v = self.edge[(v, u)] + self.unary(v)
             adjusted = table + msg_u[:, None] + msg_v[None, :]
@@ -316,12 +332,12 @@ class ReferenceAscent:
             self.set_edge(u, v, msg_u)
             self.set_edge(v, u, msg_v)
         for u in range(p.num_nodes):
-            k = len(p.candidate_labels[u])
+            k = self.costs[u].size - 1
             if k:
                 values = self.unary(u)
                 m1, m2 = sorted(values.tolist())[:2]
                 self.label[u][:k] += (m1 + m2) / 2.0 - values[:k]
-        for s, owners in sorted(p.label_owners.items()):
+        for s, owners in sorted(self.owners.items()):
             values = [self.assignment(u)[i] for u, i in owners]
             m1, m2 = sorted(values + [0.0])[:2]
             for (u, i), value in zip(owners, values):
@@ -333,10 +349,10 @@ class ReferenceAscent:
         for u in range(p.num_nodes):
             total += float(self.unary(u).min())
         for u, v in p.edges:
-            table = p.pairwise[(u, v)] + self.edge[(u, v)][:, None] + self.edge[(v, u)][None, :]
+            table = self.tables[(u, v)] + self.edge[(u, v)][:, None] + self.edge[(v, u)][None, :]
             total += float(table.min())
         labels = 0.0
-        for owners in p.label_owners.values():
+        for owners in self.owners.values():
             best = 0.0
             for u, i in owners:
                 best = min(best, self.assignment(u)[i])
@@ -346,15 +362,31 @@ class ReferenceAscent:
 
 class TestLevelScheduledSweep:
     def test_levels_are_node_disjoint_and_respect_edge_order(self):
+        # Each batch entry's edges are found by their u-side message block;
+        # the entry's tables, endpoint slots and v-side blocks must be theirs.
         rng = np.random.default_rng(70)
         for _ in range(30):
             p = random_problem(rng, max_nodes=9, edge_prob=0.5)
-            assert sorted(e for level in p.levels for e in level) == p.edges
-            level_of = {e: i for i, level in enumerate(p.levels) for e in level}
-            for i, level in enumerate(p.levels):
+            by_block = {int(mu): e for e, (mu, _) in enumerate(p.msg_start)}
+            levels = []
+            for batch in p.batches:
+                level = []
+                for table, u_slot, v_slot, mu, mv in batch:
+                    g, a, b = table.shape
+                    run = [by_block[mu + a * i] for i in range(g)]
+                    assert run == sorted(run)
+                    for i, e in enumerate(run):
+                        u, v = p.edges[e]
+                        assert np.array_equal(table[i], edge_table(p, e))
+                        assert (u_slot[i], v_slot[i]) == (p.offsets[u], p.offsets[v])
+                        assert p.msg_start[e][1] == mv + b * i
+                    level += [p.edges[e] for e in run]
+                levels.append(level)
+            assert sorted(e for level in levels for e in level) == p.edges
+            level_of = {e: i for i, level in enumerate(levels) for e in level}
+            for level in levels:
                 ends = [w for e in level for w in e]
                 assert len(ends) == len(set(ends))
-                assert level == sorted(level)
             for j, (u, v) in enumerate(p.edges):
                 earlier = [level_of[e] for e in p.edges[:j] if {u, v} & set(e)]
                 assert level_of[(u, v)] == 1 + max(earlier, default=-1)
@@ -366,13 +398,12 @@ class TestLevelScheduledSweep:
         for trial in range(80):
             p = random_problem(rng, max_nodes=10, max_labels=5, integer=False,
                                edge_prob=0.0 if trial % 8 == 0 else 0.6)
-            size = [p.num_candidates(u) for u in range(p.num_nodes)]
-            seen["mixed shapes"] += any(
-                len({(size[u], size[v]) for u, v in level}) > 1 for level in p.levels)
+            size = [len(candidates(p, u)) for u in range(p.num_nodes)]
+            seen["mixed shapes"] += any(len(batch) > 1 for batch in p.batches)
             seen["no candidates"] += 0 in size
-            seen["isolated node"] += any(not nb for nb in p.neighbors)
+            seen["isolated node"] += any(not nb for nb in neighbors(p))
             seen["no edges"] += not p.edges
-            seen["unowned label"] += len(p.label_owners) < p.num_labels
+            seen["unowned label"] += len(label_owners(p)) < p.num_labels
             if trial % 2:
                 st = qf.DualState(random_reparametrization(p, rng), -np.inf)
             else:
@@ -382,9 +413,9 @@ class TestLevelScheduledSweep:
                 qf.sweep(p, st)
                 ref.sweep()
                 assert st.dual_bound == ref.bound()
-                for key, msg in ref.edge.items():
-                    assert np.array_equal(st.repar.edge_msg[key], msg)
+                for (u, v), msg in ref.edge.items():
+                    assert np.array_equal(edge_message(p, st.repar, u, v), msg)
                 for u in range(p.num_nodes):
-                    assert np.array_equal(st.repar.label_msg[u], ref.label[u])
-                    assert np.array_equal(st.repar.msg_sum(u), ref.sums[u])
+                    assert np.array_equal(label_message(p, st.repar, u), ref.label[u])
+                    assert np.array_equal(message_sum(p, st.repar, u), ref.sums[u])
         assert all(seen.values()), seen

@@ -4,12 +4,18 @@ import pytest
 import qapfuse as qf
 from helpers import (
     brute_force_optimum,
+    candidates,
     feasible_by_pairwise_scan,
+    local_index,
+    neighbors,
+    pair_cost,
+    pairwise_tables,
     random_assignment,
     random_feasible_assignment,
     random_problem,
     restricted_space_optimum,
     scaled_problem,
+    unary_costs,
 )
 
 
@@ -37,14 +43,14 @@ def assert_terms_match_costs(p, x1, x2, fp):
     held = {int(x1[u]) for u in range(n) if u not in var and x1[u] != qf.DUMMY}
     label = [(int(x1[u]), int(x2[u])) for u in free]
 
-    local = p.local_index
+    nbrs = neighbors(p)
     unary = np.zeros((len(free), 2))
     for i, u in enumerate(free):
         for side in (0, 1):
-            value = p.unary[u][local(u, label[i][side])]
-            for v in p.neighbors[u]:  # ascending, which is edge order
+            value = unary_costs(p, u)[local_index(p, u, label[i][side])]
+            for v in nbrs[u]:  # ascending, which is edge order
                 if v not in var:
-                    value += p.pairwise_table(u, v)[local(u, label[i][side]), local(v, x1[v])]
+                    value += pair_cost(p, u, v, label[i][side], x1[v])
             unary[i, side] = value
     tables, clash = {}, {}
     for i, u in enumerate(free):
@@ -52,9 +58,8 @@ def assert_terms_match_costs(p, x1, x2, fp):
             v = free[j]
             mask = np.array([[label[i][a] == label[j][b] != qf.DUMMY for b in (0, 1)]
                              for a in (0, 1)])
-            if (u, v) in p.pairwise:
-                tables[(i, j)] = np.array([[p.pairwise[(u, v)][local(u, label[i][a]),
-                                                               local(v, label[j][b])]
+            if (u, v) in p.edges:
+                tables[(i, j)] = np.array([[pair_cost(p, u, v, label[i][a], label[j][b])
                                             for b in (0, 1)] for a in (0, 1)])
             elif mask.any():
                 tables[(i, j)] = np.zeros((2, 2))
@@ -62,7 +67,7 @@ def assert_terms_match_costs(p, x1, x2, fp):
                 clash[(i, j)] = mask
 
     ranges = [np.ptp(row) for row in unary] + [np.ptp(t) for t in tables.values()]
-    assert fp.big_cost == pytest.approx(1.0 + sum(ranges), rel=1e-12)
+    assert fp.big_cost == pytest.approx(2.0 * sum(ranges) if sum(ranges) else 1.0, rel=1e-12)
     assert fp.big_cost > sum(ranges)
     big = fp.big_cost
     held_mask = np.array([[s != qf.DUMMY and s in held for s in pair] for pair in label],
@@ -99,11 +104,11 @@ def consistency_instances(rng):
     found = 0
     while found < 20:
         p = random_problem(rng, max_nodes=5, min_nodes=2)
-        if any(p.num_candidates(u) == 0 for u in range(p.num_nodes)):
+        if any(not candidates(p, u) for u in range(p.num_nodes)):
             continue
         found += 1
         x1 = random_feasible_assignment(p, rng)
-        x2 = np.array([rng.choice([s for s in [qf.DUMMY, *p.candidate_labels[u].tolist()]
+        x2 = np.array([rng.choice([s for s in [qf.DUMMY, *candidates(p, u)]
                                    if s != x1[u]]) for u in range(p.num_nodes)])
         assert np.all(x1 != x2)
         yield p, x1, x2
@@ -111,6 +116,9 @@ def consistency_instances(rng):
     p = qf.Problem(3, 2, [[0, 1], [0], [1]],
                    [np.array([-1.0, 0.5, 0.0]), np.array([-2.0, 0.0]), np.array([1.0, 0.0])])
     yield p, np.array([0, qf.DUMMY, 1]), np.array([1, 0, qf.DUMMY])
+    # Every range 0: the penalty falls back to 1.
+    p = qf.Problem(2, 1, [[0], [0]], [np.zeros(2)] * 2, {(0, 1): np.zeros((2, 2))})
+    yield p, np.array([0, qf.DUMMY]), np.array([qf.DUMMY, 0])
 
 
 class TestBuildFusion:
@@ -131,7 +139,7 @@ class TestBuildFusion:
         x2 = np.array([qf.DUMMY, 0])
         fp = qf.build_fusion(p, x1, x2)
         assert fp.num_variables == 2
-        assert fp.big_cost == 1.0 + 1.0 + 2.0 + 0.0  # 1 + unary and table ranges
+        assert fp.big_cost == 2.0 * (1.0 + 2.0 + 0.0)  # twice the unary and table ranges
         assert np.array_equal(fp.unary, [[-1.0, 0.0], [0.0, -2.0]])
         assert fp.pairs.tolist() == [[0, 1]]
         assert np.array_equal(fp.tables, [[[0.0, fp.big_cost], [0.0, 0.0]]])
@@ -140,7 +148,7 @@ class TestBuildFusion:
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([-1.0, 0.0]), np.array([-2.0, 0.0])])
         fp = qf.build_fusion(p, np.array([0, qf.DUMMY]), np.array([qf.DUMMY, 0]))
-        assert fp.big_cost == 4.0
+        assert fp.big_cost == 6.0
         assert fp.pairs.tolist() == [[0, 1]]
         assert np.array_equal(fp.tables, [[[0.0, fp.big_cost], [0.0, 0.0]]])
 
@@ -197,10 +205,11 @@ class TestBuildFusion:
             if fp.num_variables < 2:
                 continue
             tested += 1
-            pairwise = {edge: table.copy() for edge, table in p.pairwise.items()}
-            pairwise[(0, 1)][p.local_index(0, x1[0]), p.local_index(1, x1[1])] += 1e16
-            outlier = qf.Problem(p.num_nodes, p.num_labels, p.candidate_labels,
-                                 p.unary, pairwise)
+            pairwise = pairwise_tables(p)
+            pairwise[(0, 1)][local_index(p, 0, x1[0]), local_index(p, 1, x1[1])] += 1e16
+            nodes = range(p.num_nodes)
+            outlier = qf.Problem(p.num_nodes, p.num_labels, [candidates(p, u) for u in nodes],
+                                 [unary_costs(p, u) for u in nodes], pairwise)
             other = qf.build_fusion(outlier, x1, x2)
             assert np.array_equal(other.unary, fp.unary)
             assert np.array_equal(other.pairs, fp.pairs)
@@ -324,20 +333,23 @@ class TestFuse:
     @pytest.mark.parametrize("scale", [2.0**-46, 2.0**40])
     def test_qpbo_mode_invariant_under_power_of_two_scaling(self, scale):
         # Scaling every cost by a power of two is exact, so the result must
-        # not move.  The proposal shares no label with the incumbent: a
-        # penalty is 1 + the cost ranges, and that 1 does not scale.
+        # not move.  Every other proposal shares no label with the incumbent;
+        # the rest are random, so uniqueness penalties come into play.
         rng = np.random.default_rng(43)
         tested = 0
-        while tested < 100:
+        while tested < 200:
             p = random_problem(rng, max_nodes=7, min_nodes=4, max_labels=9, integer=False)
             x1 = random_feasible_assignment(p, rng)
-            x2 = np.full(p.num_nodes, qf.DUMMY)
-            used = set(x1.tolist())
-            for u in rng.permutation(p.num_nodes):
-                options = [int(s) for s in p.candidate_labels[u] if int(s) not in used]
-                if options and rng.random() < 0.8:
-                    x2[u] = options[int(rng.integers(len(options)))]
-                    used.add(x2[u])
+            if tested % 2:
+                x2 = random_assignment(p, rng)
+            else:
+                x2 = np.full(p.num_nodes, qf.DUMMY)
+                used = set(x1.tolist())
+                for u in rng.permutation(p.num_nodes):
+                    options = [s for s in candidates(p, u) if s not in used]
+                    if options and rng.random() < 0.8:
+                        x2[u] = options[int(rng.integers(len(options)))]
+                        used.add(x2[u])
             if np.sum(x1 != x2) < 2:
                 continue
             tested += 1

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 import qapfuse as qf
-from helpers import brute_force_optimum, random_problem
+from helpers import (
+    brute_force_optimum,
+    candidates,
+    greedy_by_loops,
+    neighbors,
+    random_problem,
+    random_reparametrization,
+)
 
 from test_dualbca import aligned_chain_problem
 
@@ -113,10 +120,43 @@ def test_frontier_discipline():
                        {edge: np.zeros((n + 1, n + 1)) for edge in graph.edges})
         x = qf.greedy_assignment(p, 3)
         assert sorted(x) == list(range(n))
+        nbrs = neighbors(p)
         seen = set()
         for u in np.argsort(x):
             if seen:
-                frontier = {w for v in seen for w in p.neighbors[v]} - seen
+                frontier = {w for v in seen for w in nbrs[v]} - seen
                 if frontier:
                     assert u in frontier
             seen.add(u)
+
+
+def test_matches_loop_reference():
+    # Exact equality with the plain-loop greedy of the helpers, on the
+    # original costs, after a few sweeps and on random messages, over
+    # shapes that empty the frontier mid-run: isolated nodes, disconnected
+    # parts, no edges at all, and nodes without candidates.
+    rng = np.random.default_rng(91)
+    seen = dict.fromkeys(["no candidates", "isolated node", "no edges", "disconnected"], 0)
+    for trial in range(80):
+        p = random_problem(rng, max_nodes=10, max_labels=6, integer=trial % 2 == 0,
+                           edge_prob=[0.0, 0.15, 0.4, 0.8][trial % 4])
+        nbrs = neighbors(p)
+        reached, stack = {0}, [0]
+        while stack:
+            for v in nbrs[stack.pop()]:
+                if v not in reached:
+                    reached.add(v)
+                    stack.append(v)
+        seen["no candidates"] += any(not candidates(p, u) for u in range(p.num_nodes))
+        seen["isolated node"] += any(not nb for nb in nbrs)
+        seen["no edges"] += not p.edges
+        seen["disconnected"] += bool(p.edges) and len(reached) < p.num_nodes
+
+        st = qf.DualState.initial(p)
+        for _ in range(3):
+            qf.sweep(p, st)
+        for repar in (None, st.repar, random_reparametrization(p, rng)):
+            for seed in range(3):
+                assert np.array_equal(qf.greedy_assignment(p, seed, repar),
+                                      greedy_by_loops(p, seed, repar))
+    assert all(seen.values()), seen

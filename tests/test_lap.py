@@ -3,9 +3,13 @@ import pytest
 
 import qapfuse as qf
 from helpers import (
+    assignment_cost,
+    candidates,
     lap_optimum_by_enumeration,
+    label_owners,
     random_problem,
     random_reparametrization,
+    unary_costs,
 )
 
 
@@ -57,8 +61,8 @@ class TestSolveLap:
             recomputed = 0.0
             for u, s in enumerate(labels):
                 if s != qf.DUMMY:
-                    pos = p.candidate_labels[u].tolist().index(int(s))
-                    recomputed += float(p.unary[u][pos])
+                    pos = candidates(p, u).index(int(s))
+                    recomputed += unary_costs(p, u)[pos]
             assert value == pytest.approx(recomputed, abs=1e-12)
 
     def test_deterministic(self):
@@ -89,12 +93,26 @@ class TestLabelMinTerm:
             p = random_problem(rng, max_nodes=5)
             r = random_reparametrization(p, rng)
             expected = 0.0
+            owners = label_owners(p)
             for s in range(p.num_labels):
-                owners = p.owners(s)
-                if owners:
-                    expected += min(0.0, min(qf.lap_unary(p, r, u, s)
-                                             for u, _ in owners))
+                if s in owners:
+                    expected += min(0.0, min(assignment_cost(p, r, u)[i]
+                                             for u, i in owners[s]))
             assert qf.label_min_term(p, r) == pytest.approx(expected, abs=1e-12)
+
+    def test_label_slots_follow_first_owner_order(self):
+        # label_min_term adds its per-label terms in label_slots order:
+        # labels by their first owner slot, each label's owners in slot
+        # order, then the sentinel slot of the zero-cost dummy node.
+        rng = np.random.default_rng(75)
+        for trial in range(100):
+            p = random_problem(rng, max_nodes=8, max_labels=7, min_nodes=0 if trial < 5 else 1)
+            slots, starts = [], []
+            for owners in label_owners(p).values():
+                starts.append(len(slots))
+                slots += [p.offsets[u] + i for u, i in owners] + [len(p.slot_labels)]
+            assert p.label_slots.tolist() == slots
+            assert p.label_starts.tolist() == starts
 
     def test_never_exceeds_lap_optimum(self):
         # Dropping the one-label-per-node coupling can only relax, so the

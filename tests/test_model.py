@@ -3,22 +3,38 @@ import pytest
 
 import qapfuse as qf
 from helpers import (
+    adjusted_table,
+    assignment_cost,
+    candidates,
+    edge_table,
     energy_by_resummation,
     feasible_by_pairwise_scan,
+    label_message,
+    local_index,
+    matching_cost,
+    neighbors,
+    pairwise_tables,
     random_assignment,
     random_problem,
     random_reparametrization,
+    rebuild_message_sums,
+    table_cell,
+    unary_costs,
 )
 
 
 def identity_total(problem, repar, x):
-    """Three-term decomposition that must reproduce the plain energy."""
+    """Three-term decomposition that must reproduce the plain energy: the
+    matching-side and assignment-side unaries, then the message-adjusted
+    edge tables, each computed here from the costs and the messages."""
     total = 0.0
     for u in range(problem.num_nodes):
-        total += qf.reparametrized_unary(problem, repar, u, int(x[u]))
-        total += qf.lap_unary(problem, repar, u, int(x[u]))
+        i = local_index(problem, u, x[u])
+        total += float(matching_cost(problem, repar, u)[i])
+        total += float(assignment_cost(problem, repar, u)[i])
     for u, v in problem.edges:
-        total += qf.reparametrized_pairwise(problem, repar, u, v, int(x[u]), int(x[v]))
+        table = adjusted_table(problem, repar, u, v)
+        total += float(table[local_index(problem, u, x[u]), local_index(problem, v, x[v])])
     return total
 
 
@@ -49,11 +65,11 @@ class TestEnergy:
                 continue
             x = random_assignment(p, rng)
             u, v = p.edges[0]
-            term = p.pairwise[(u, v)][p.local_index(u, x[u]), p.local_index(v, x[v])]
-            reduced = {e: t for e, t in p.pairwise.items() if e != (u, v)}
-            p2 = qf.Problem(p.num_nodes, p.num_labels,
-                            [list(c) for c in p.candidate_labels],
-                            [c.copy() for c in p.unary], reduced)
+            term = table_cell(p, 0, local_index(p, u, x[u]), local_index(p, v, x[v]))
+            reduced = {e: t for e, t in pairwise_tables(p).items() if e != (u, v)}
+            nodes = range(p.num_nodes)
+            p2 = qf.Problem(p.num_nodes, p.num_labels, [candidates(p, w) for w in nodes],
+                            [unary_costs(p, w) for w in nodes], reduced)
             assert qf.energy(p, x) - qf.energy(p2, x) == pytest.approx(term, abs=1e-12)
 
     def test_equals_resummation_exactly_on_varied_shapes(self):
@@ -110,11 +126,25 @@ class TestValidation:
     def test_costs_are_read_only(self):
         p = self.PROBLEM
         with pytest.raises(ValueError):
-            p.pairwise[(0, 1)][0, 0] = 9.0
+            p.batches[0][0][0][0, 0, 0] = 9.0
         with pytest.raises(ValueError):
-            p.unary[0][0] = 9.0
+            p.unary_flat[0] = 9.0
         with pytest.raises(ValueError):
             p.table_buffer[0] = 9.0
+
+
+class TestLayout:
+    def test_adjacency_matches_edge_list(self):
+        rng = np.random.default_rng(103)
+        for trial in range(60):
+            p = random_problem(rng, max_nodes=9, edge_prob=[0.0, 0.2, 0.7][trial % 3])
+            nbrs = neighbors(p)
+            assert p.nbr_start.tolist() == np.cumsum([0] + [len(nb) for nb in nbrs]).tolist()
+            for u in range(p.num_nodes):
+                lo, hi = p.nbr_start[u], p.nbr_start[u + 1]
+                assert p.nbr_nodes[lo:hi].tolist() == nbrs[u]
+                assert [p.edges[e] for e in p.nbr_edges[lo:hi]] == [
+                    (min(u, v), max(u, v)) for v in nbrs[u]]
 
 
 class TestFeasibility:
@@ -139,42 +169,44 @@ class TestReparametrization:
     def test_zero_messages_halve_unary(self):
         p = qf.Problem(1, 1, [[0]], [np.array([4.0, 0.0])])
         r = qf.Reparametrization(p)
-        assert qf.reparametrized_unary(p, r, 0, 0) == 2.0
+        assert qf.model.matching_side(p, r)[0] == 2.0
 
     def test_direct_formula(self):
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([0.0, 0.0])] * 2,
                        {(0, 1): np.zeros((2, 2))})
         r = qf.Reparametrization(p)
-        r.set_label_msg(0, np.array([1.0]))
-        r.set_edge_msg(0, 1, np.array([0.5, 0.0]))
+        r.label_flat[0] = 1.0
+        r.edge_flat[p.msg_start[0, 0]:p.msg_start[0, 0] + 2] = [0.5, 0.0]
+        rebuild_message_sums(p, r)
         # theta/2 + label message - edge message = 0 + 1 - 0.5
-        assert qf.reparametrized_unary(p, r, 0, 0) == pytest.approx(0.5)
+        assert qf.model.matching_side(p, r)[0] == pytest.approx(0.5)
 
     def test_pairwise_identity_at_zero(self):
         rng = np.random.default_rng(3)
         p = random_problem(rng, max_nodes=3, min_nodes=2, edge_prob=1.0)
         r = qf.Reparametrization(p)
         u, v = p.edges[0]
-        table = qf.reparametrized_pairwise_table(p, r, u, v)
-        np.testing.assert_allclose(table, p.pairwise[(u, v)])
+        assert not r.edge_flat.any()
+        np.testing.assert_allclose(adjusted_table(p, r, u, v), edge_table(p, 0))
 
     def test_pairwise_message_sum(self):
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([0.0, 0.0])] * 2,
                        {(0, 1): np.zeros((2, 2))})
         r = qf.Reparametrization(p)
-        r.set_edge_msg(0, 1, np.array([1.0, 0.0]))
-        r.set_edge_msg(1, 0, np.array([2.0, 0.0]))
-        assert qf.reparametrized_pairwise(p, r, 0, 1, 0, 0) == pytest.approx(3.0)
+        (mu, mv), = p.msg_start
+        r.edge_flat[mu:mu + 2] = [1.0, 0.0]
+        r.edge_flat[mv:mv + 2] = [2.0, 0.0]
+        assert adjusted_table(p, r, 0, 1)[0, 0] == pytest.approx(3.0)
 
     def test_dummy_label_message_is_pinned(self):
         rng = np.random.default_rng(19)
         p = random_problem(rng, max_nodes=4)
         r = random_reparametrization(p, rng)
         for u in range(p.num_nodes):
-            assert r.label_msg[u][-1] == p.unary[u][-1] / 2.0
-            assert qf.lap_unary(p, r, u, qf.DUMMY) == 0.0
+            assert label_message(p, r, u)[-1] == unary_costs(p, u)[-1] / 2.0
+            assert qf.assignment_side(p, r)[p.offsets[u + 1] - 1] == 0.0
 
     def test_invariance_identity(self):
         rng = np.random.default_rng(2024)

@@ -7,7 +7,9 @@ import pytest
 import qapfuse as qf
 from helpers import (
     brute_force_optimum,
+    candidates,
     geometric_matching_instance,
+    neighbors,
     random_assignment,
     random_feasible_assignment,
     random_problem,
@@ -86,15 +88,27 @@ class TestSolve:
         qf.write_trace(second.trace, buf2)
         assert buf1.getvalue() == buf2.getvalue()
 
-    @pytest.mark.parametrize("heuristic", ["greedy", "lap"])
-    def test_trace_matches_golden_file(self, heuristic):
-        # The files were written by the edge-by-edge sweep that preceded the
-        # level-scheduled one; the ascent trajectory must not move.
-        p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
-        cfg = qf.SolverConfig(max_batches=12, seed=5, primal_heuristic=heuristic)
+    @pytest.mark.parametrize("case", ["greedy", "lap", "sparse"])
+    def test_trace_matches_golden_file(self, case):
+        # The greedy and lap files were written by the edge-by-edge sweep
+        # that preceded the level-scheduled one, the sparse file by the
+        # greedy that read per-node and per-edge views; the ascent and the
+        # proposals must not move.  The geometric instance is a complete
+        # graph.  The sparse one has isolated nodes, nodes without
+        # candidates and several components, and makes three proposals per
+        # sweep, so greedy often runs out of frontier.
+        if case == "sparse":
+            p = random_problem(np.random.default_rng(7), min_nodes=24, max_nodes=24,
+                               max_labels=10, edge_prob=0.08, integer=False)
+            assert not all(candidates(p, u) for u in range(p.num_nodes))
+            assert not all(neighbors(p))
+            cfg = qf.SolverConfig(max_batches=12, seed=5, greedy_generations=3)
+        else:
+            p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
+            cfg = qf.SolverConfig(max_batches=12, seed=5, primal_heuristic=case)
         buffer = io.StringIO()
         qf.write_trace(qf.solve(p, cfg).trace, buffer)
-        golden = Path(__file__).parent / "data" / f"golden_trace_{heuristic}.csv"
+        golden = Path(__file__).parent / "data" / f"golden_trace_{case}.csv"
         assert buffer.getvalue().encode() == golden.read_bytes()
 
     @pytest.mark.parametrize("scale", [1e-10, 1e10])
