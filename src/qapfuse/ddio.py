@@ -1,8 +1,8 @@
 """Reader/writer for the `.dd` graph-matching instance format, proposal
 lists, and solver trace CSV files.
 
-`.dd` grammar (whitespace separated, blank lines ignored, UTF-8,
-LF or CRLF accepted on read, LF written):
+`.dd` grammar (whitespace separated, blank lines and leading whitespace
+ignored, UTF-8, LF or CRLF accepted on read, LF written):
 
     c <comment>
     p <n_left> <n_right> <n_assignments> <n_pairwise>
@@ -11,7 +11,12 @@ LF or CRLF accepted on read, LF written):
 
 Assignment ids are unique, 0-based and contiguous in [0, A).  Pairwise
 lines reference two existing assignments with distinct left indices;
-repeated (id1, id2) pairs accumulate additively.
+repeated (id1, id2) pairs accumulate additively.  Integers and costs read
+as Python's ``int`` and ``float`` read them.
+
+`parse_dd` reads the stream in chunks of lines and keeps the records as
+numpy columns.  It accepts exactly the files a line-by-line reader would,
+and an error names the same first offending line with the same message.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.
@@ -22,12 +27,18 @@ significant digits and a missing best energy is an empty field.
 """
 
 import io
+import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .model import Problem, validate_assignment
+
+# Lines per chunk: converting a whole file's tokens at once would hold
+# every token string in memory together.
+_CHUNK_LINES = 1 << 16
 
 
 class ParseError(ValueError):
@@ -55,10 +66,52 @@ class DdPairwiseTerm(NamedTuple):
 
 @dataclass
 class DdInstance:
+    """A `.dd` instance.  ``assignments`` is a sequence of DdAssignment and
+    ``pairwise_terms`` an iterable of DdPairwiseTerm; both are stored as
+    given.  `parse_dd` gives them as read-only sequences backed by numpy
+    columns (assignments sorted by id, terms in file order) that make a
+    record only when one is read."""
     n_left: int
     n_right: int
-    assignments: list
-    pairwise_terms: list
+    assignments: Sequence
+    pairwise_terms: Iterable
+
+
+class _Records(Sequence):
+    """Read-only sequence of ``record`` tuples stored as numpy columns."""
+
+    def __init__(self, record, columns):
+        self.record = record
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return self.record(*(column[i].item() for column in self.columns))
+
+    def __iter__(self):
+        for start in range(0, len(self), _CHUNK_LINES):
+            stop = start + _CHUNK_LINES
+            yield from map(self.record, *(c[start:stop].tolist() for c in self.columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"<{len(self)} {self.record.__name__} records>"
+
+
+def _columns(records, record):
+    """The numpy columns of a record sequence; built from the records unless
+    it keeps them already."""
+    if isinstance(records, _Records):
+        return records.columns
+    fields = list(zip(*records)) or [()] * len(record._fields)
+    return [np.array(values, dtype=np.float64 if name == "cost" else np.int64)
+            for values, name in zip(fields, record._fields)]
 
 
 def _lines(source):
@@ -67,85 +120,220 @@ def _lines(source):
     return source
 
 
+def _chunks(source):
+    """The lines of a stream in lists of ``_CHUNK_LINES``; a string is cut
+    at LF into pieces of about as many 32-character lines, with no copy of
+    the whole text."""
+    if not isinstance(source, str):
+        while lines := list(itertools.islice(source, _CHUNK_LINES)):
+            yield lines
+        return
+    start = 0
+    while start < len(source):
+        stop = source.find("\n", start + 32 * _CHUNK_LINES) + 1 or len(source)
+        lines = source[start:stop].split("\n")
+        if source[stop - 1] == "\n":
+            lines.pop()
+        yield lines
+        start = stop
+
+
+def _ints(tokens):
+    """int64 column of integer tokens (numpy reads each with ``int``); a
+    value beyond int64 keeps the whole column as exact Python ints, out of
+    every range, for the error it raises."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(t) for t in tokens], dtype=object)
+
+
+_A, _C, _E = map(ord, "ace")
+
+
+def _pick(lines, at):
+    """The lines at the ascending positions ``at``."""
+    if at.size and at[-1] - at[0] + 1 == at.size:
+        return lines[at[0]:at[-1] + 1]
+    return [lines[i] for i in at.tolist()]
+
+
+# Per data line kind: its name in messages and its fields.
+_KINDS = {"a": ("assignment", "a id left right cost"), "e": ("pairwise", "e id1 id2 cost")}
+
+
+def _fields(lines, kind):
+    """Columns (integer fields, then the cost) of the lines of one kind, and
+    the index and message of the first line that does not parse, or None."""
+    what, usage = _KINDS[kind]
+    width = len(usage.split())
+    tokens = " ".join(lines).split()
+    # Each line's first token starts with the kind letter, as no number
+    # does.  If the token count is right and every kind slot holds the kind,
+    # a line with another field count puts a later line's first token in a
+    # number slot, and that line fails to convert.
+    if len(tokens) == width * len(lines) and tokens[::width].count(kind) == len(lines):
+        try:
+            return ([_ints(tokens[c::width]) for c in range(1, width - 1)]
+                    + [np.array(tokens[width - 1::width], dtype=np.float64)]), None
+        except ValueError:
+            pass
+    for i, line in enumerate(lines):
+        fields = line.split()
+        if fields[0] != kind:
+            bad = f"unknown line type {fields[0]!r}"
+        elif len(fields) != width:
+            bad = f"{what} line must be '{usage}'"
+        else:
+            try:
+                list(map(int, fields[1:-1])), float(fields[-1])
+            except ValueError:
+                bad = f"malformed {what} line"
+            else:
+                continue
+        return _fields(lines[:i], kind)[0], (i, bad)
+
+
+class _DdReader:
+    """parse_dd's state between chunks: the header, the columns of the
+    assignment and pairwise lines read so far, the pairwise lines' numbers
+    and the assignment ids seen, sorted."""
+
+    def __init__(self):
+        self.header = None
+        self.assignments = []
+        self.terms = []
+        self.term_lines = []
+        self.seen = np.zeros(0, dtype=np.int64)
+
+    def _header(self, fields):
+        """Take a header line; return its error message, if any."""
+        if fields[0] != "p":
+            return f"unknown line type {fields[0]!r}"
+        if self.header is not None:
+            return "duplicate header"
+        if len(fields) != 5:
+            return "header must be 'p N0 N1 A E'"
+        try:
+            header = tuple(int(f) for f in fields[1:])
+        except ValueError:
+            return "non-integer header field"
+        if any(v < 0 for v in header):
+            return "negative header field"
+        self.header = header
+        return None
+
+    def _check_assignments(self, ids, left, right):
+        """Index and message of the first assignment whose values break a
+        rule, or None after adding the ids to those seen; a line reports
+        the first rule it breaks."""
+        if not ids.size:
+            return None
+        n_left, n_right, n_assign, _ = self.header
+        # A stable sort after the ids seen puts each repeat after its first.
+        seen = np.concatenate((self.seen, ids))
+        order = np.argsort(seen, kind="stable")
+        repeat = np.zeros(seen.size, dtype=bool)
+        repeat[order[1:]] = seen[order[1:]] == seen[order[:-1]]
+        rules = ((ids < 0) | (ids >= n_assign),
+                 repeat[self.seen.size:],
+                 (left < 0) | (left >= n_left),
+                 (right < 0) | (right >= n_right))
+        bad = np.flatnonzero(np.logical_or.reduce(rules))
+        if not bad.size:
+            self.seen = seen[order]
+            return None
+        j = bad[0]
+        aid = int(ids[j])
+        messages = (f"assignment id {aid} out of range [0, {n_assign})",
+                    f"duplicate assignment id {aid}",
+                    f"left index {int(left[j])} out of range",
+                    f"right index {int(right[j])} out of range")
+        return j, next(m for rule, m in zip(rules, messages) if rule[j])
+
+    def feed(self, lines, first):
+        """Read one chunk of lines; ``first`` is the number of its first."""
+        # A line's kind is its first character, or its first after leading
+        # whitespace; a blank line counts as a comment.
+        heads = "".join([raw[:1] or "\n" for raw in lines])
+        kind = np.frombuffer(heads.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).copy()
+        for i in np.flatnonzero((kind != _A) & (kind != _E) & (kind != _C)).tolist():
+            line = lines[i].strip()
+            kind[i] = ord(line[0]) if line else _C
+        is_a, is_e = kind == _A, kind == _E
+        # Header and unknown lines run in order up to the first bad one;
+        # errors collect as (index in chunk, message), the earliest wins.
+        stop, errors = len(lines), []
+        opens = 0 if self.header is not None else len(lines)
+        for i in np.flatnonzero(~(is_a | is_e | (kind == _C))).tolist():
+            message = self._header(lines[i].split())
+            if message:
+                stop = i
+                errors.append((i, message))
+                break
+            opens = i
+        data = np.flatnonzero((is_a | is_e)[:stop])
+        if data.size and data[0] < opens:
+            word = lines[data[0]].split()[0]
+            message = (f"{_KINDS[word][0]} line before header" if word in _KINDS
+                       else f"unknown line type {word!r}")
+            raise ParseError(message, first + int(data[0]))
+
+        a_at, e_at = np.flatnonzero(is_a[:stop]), np.flatnonzero(is_e[:stop])
+        assignments, a_bad = _fields(_pick(lines, a_at), "a")
+        terms, e_bad = _fields(_pick(lines, e_at), "e")
+        for at, bad in ((a_at, a_bad), (a_at, self._check_assignments(*assignments[:3])),
+                        (e_at, e_bad)):
+            if bad:
+                errors.append((int(at[bad[0]]), bad[1]))
+        if errors:
+            i, message = min(errors)
+            raise ParseError(message, first + i)
+        self.assignments.append(assignments)
+        self.terms.append(terms)
+        self.term_lines.append(first + e_at)
+
+    def finish(self):
+        """The instance read, after the checks that need the whole file."""
+        if self.header is None:
+            raise ParseError("missing header")
+        n_left, n_right, n_assign, n_pair = self.header
+        ids, left, right, cost = (np.concatenate(c) for c in zip(*self.assignments))
+        if ids.size != n_assign:
+            raise ParseError(f"header promises {n_assign} assignments, found {ids.size}")
+        id1, id2, pair_cost = (np.concatenate(c) for c in zip(*self.terms))
+        if id1.size != n_pair:
+            raise ParseError(f"header promises {n_pair} pairwise terms, found {id1.size}")
+
+        # The ids are now a permutation of range(n_assign).
+        order = np.argsort(ids)
+        left_of = left[order]
+        unknown1, unknown2 = (id1 < 0) | (id1 >= n_assign), (id2 < 0) | (id2 >= n_assign)
+        known = ~(unknown1 | unknown2)
+        same = np.zeros(id1.size, dtype=bool)
+        same[known] = (left_of[id1[known].astype(np.int64)]
+                       == left_of[id2[known].astype(np.int64)])
+        bad = np.flatnonzero(unknown1 | unknown2 | same)
+        if bad.size:
+            k = bad[0]
+            line = int(np.concatenate(self.term_lines)[k])
+            if same[k]:
+                raise ParseError("pairwise term joins two assignments of the same left point", line)
+            aid = int(id1[k] if unknown1[k] else id2[k])
+            raise ParseError(f"pairwise term references unknown assignment id {aid}", line)
+        return DdInstance(n_left, n_right,
+                          _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)]),
+                          _Records(DdPairwiseTerm, [id1, id2, pair_cost]))
+
+
 def parse_dd(source):
     """Parse a `.dd` stream (file object or string) into a DdInstance."""
-    header = None
-    assignments = []
-    pairwise = []
-    seen_ids = set()
-    pairwise_lines = []
-
-    for lineno, raw in enumerate(_lines(source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        kind = fields[0]
-        if kind == "p":
-            if header is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(fields) != 5:
-                raise ParseError("header must be 'p N0 N1 A E'", lineno)
-            try:
-                header = tuple(int(f) for f in fields[1:])
-            except ValueError:
-                raise ParseError("non-integer header field", lineno) from None
-            if any(v < 0 for v in header):
-                raise ParseError("negative header field", lineno)
-        elif kind == "a":
-            if header is None:
-                raise ParseError("assignment line before header", lineno)
-            if len(fields) != 5:
-                raise ParseError("assignment line must be 'a id left right cost'", lineno)
-            try:
-                aid, left, right = (int(f) for f in fields[1:4])
-                cost = float(fields[4])
-            except ValueError:
-                raise ParseError("malformed assignment line", lineno) from None
-            n_left, n_right, n_assign, _ = header
-            if not 0 <= aid < n_assign:
-                raise ParseError(f"assignment id {aid} out of range [0, {n_assign})", lineno)
-            if aid in seen_ids:
-                raise ParseError(f"duplicate assignment id {aid}", lineno)
-            if not 0 <= left < n_left:
-                raise ParseError(f"left index {left} out of range", lineno)
-            if not 0 <= right < n_right:
-                raise ParseError(f"right index {right} out of range", lineno)
-            seen_ids.add(aid)
-            assignments.append(DdAssignment(aid, left, right, cost))
-        elif kind == "e":
-            if header is None:
-                raise ParseError("pairwise line before header", lineno)
-            if len(fields) != 4:
-                raise ParseError("pairwise line must be 'e id1 id2 cost'", lineno)
-            try:
-                id1, id2 = int(fields[1]), int(fields[2])
-                cost = float(fields[3])
-            except ValueError:
-                raise ParseError("malformed pairwise line", lineno) from None
-            pairwise.append(DdPairwiseTerm(id1, id2, cost))
-            pairwise_lines.append(lineno)
-        else:
-            raise ParseError(f"unknown line type {kind!r}", lineno)
-
-    if header is None:
-        raise ParseError("missing header")
-    n_left, n_right, n_assign, n_pair = header
-    if len(assignments) != n_assign:
-        raise ParseError(f"header promises {n_assign} assignments, found {len(assignments)}")
-    if len(pairwise) != n_pair:
-        raise ParseError(f"header promises {n_pair} pairwise terms, found {len(pairwise)}")
-
-    by_id = {a.id: a for a in assignments}
-    for term, lineno in zip(pairwise, pairwise_lines):
-        for aid in (term.id1, term.id2):
-            if aid not in by_id:
-                raise ParseError(f"pairwise term references unknown assignment id {aid}", lineno)
-        if by_id[term.id1].left == by_id[term.id2].left:
-            raise ParseError("pairwise term joins two assignments of the same left point", lineno)
-
-    assignments.sort(key=lambda a: a.id)
-    return DdInstance(n_left, n_right, assignments, pairwise)
+    reader = _DdReader()
+    first = 1
+    for lines in _chunks(source):
+        reader.feed(lines, first)
+        first += len(lines)
+    return reader.finish()
 
 
 def write_dd(instance, sink):
@@ -166,35 +354,53 @@ def write_dd(instance, sink):
 
 def to_problem(instance):
     """Build the in-memory Problem: left points become nodes, right points
-    the label pool, dummy costs 0, unspecified pairwise entries 0."""
+    the label pool, dummy costs 0, unspecified pairwise entries 0.  The
+    assignment ids must be 0, 1, ..., A - 1 in some order, as in a file."""
     n = instance.n_left
-    cand = [[] for _ in range(n)]
-    cost_of = {}
-    for a in instance.assignments:
-        key = (a.left, a.right)
-        if key in cost_of:
-            raise ValueError(f"two assignments for left {a.left}, right {a.right}")
-        cost_of[key] = a.cost
-        cand[a.left].append(a.right)
-    for lst in cand:
-        lst.sort()
-    unary = []
-    for u in range(n):
-        vec = np.array([cost_of[(u, s)] for s in cand[u]] + [0.0])
-        unary.append(vec)
+    ids, left, right, cost = _columns(instance.assignments, DdAssignment)
+    id1, id2, pair_cost = _columns(instance.pairwise_terms, DdPairwiseTerm)
+    if np.any((left < 0) | (left >= n)):
+        raise ValueError(f"left index out of range [0, {n})")
+    order = np.lexsort((right, left))
+    by_node, labels = left[order], right[order]
+    again = order[1:][(by_node[1:] == by_node[:-1]) & (labels[1:] == labels[:-1])]
+    if again.size:
+        a = again.min()
+        raise ValueError(f"two assignments for left {left[a]}, right {right[a]}")
+    size = np.bincount(left, minlength=n)
+    start = np.concatenate(([0], np.cumsum(size)))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - start[by_node]
+    # Node u's unary vector sits at start[u] + u: its costs, then a 0 dummy.
+    flat = np.zeros(order.size + n)
+    flat[np.arange(order.size) + by_node] = cost[order]
+    cand = [labels[start[u]:start[u + 1]] for u in range(n)]
+    unary = [flat[start[u] + u:start[u + 1] + u + 1] for u in range(n)]
 
-    by_id = {a.id: a for a in instance.assignments}
-    tables = {}
-    for term in instance.pairwise_terms:
-        a1, a2 = by_id[term.id1], by_id[term.id2]
-        if a1.left == a2.left:
-            raise ValueError("pairwise term joins two assignments of the same left point")
-        (u, s), (v, t) = sorted([(a1.left, a1.right), (a2.left, a2.right)])
-        key = (u, v)
-        if key not in tables:
-            tables[key] = np.zeros((len(cand[u]) + 1, len(cand[v]) + 1))
-        tables[key][cand[u].index(s), cand[v].index(t)] += term.cost
+    if not np.array_equal(np.sort(ids), np.arange(ids.size)):
+        raise ValueError("assignment ids must be 0, 1, ..., A - 1")
+    row_of = np.empty_like(ids)
+    row_of[ids] = np.arange(ids.size)
+    terms = np.column_stack((id1, id2))
+    unknown = terms[(terms < 0) | (terms >= ids.size)]
+    if unknown.size:
+        raise ValueError(f"pairwise term references unknown assignment id {unknown[0]}")
+    row = row_of[terms]
+    ends, slot = left[row], rank[row]
+    if np.any(ends[:, 0] == ends[:, 1]):
+        raise ValueError("pairwise term joins two assignments of the same left point")
+    flip = ends[:, 0] > ends[:, 1]
+    ends[flip], slot[flip] = ends[flip, ::-1], slot[flip, ::-1]
 
+    keys, edge = np.unique(ends[:, 0] * n + ends[:, 1], return_inverse=True)
+    u, v = np.divmod(keys, n)
+    rows, cols = size[u] + 1, size[v] + 1
+    at = np.concatenate(([0], np.cumsum(rows * cols)))
+    # One buffer for every table; add.at adds repeated terms in file order.
+    buffer = np.zeros(at[-1])
+    np.add.at(buffer, at[edge] + slot[:, 0] * cols[edge] + slot[:, 1], pair_cost)
+    tables = {(a, b): buffer[s:e].reshape(h, w) for a, b, s, e, h, w in zip(
+        u.tolist(), v.tolist(), at[:-1].tolist(), at[1:].tolist(), rows.tolist(), cols.tolist())}
     return Problem(n, instance.n_right, cand, unary, tables)
 
 

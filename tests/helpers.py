@@ -498,3 +498,118 @@ def random_dd_text(rng, max_left=4, max_right=5):
     if rng.random() < 0.5:
         body.insert(0, "c generated test instance")
     return "\n".join(body) + "\n"
+
+
+def parse_dd_by_lines(text):
+    """Reference `.dd` reader: one line at a time, one record per line.
+    Returns (n_left, n_right, assignments sorted by id, pairwise terms), the
+    records as (id, left, right, cost) and (id1, id2, cost) tuples; raises
+    ParseError like the library, with the same message and line."""
+    from qapfuse import ParseError
+
+    header = None
+    assignments, pairwise, pairwise_lines = [], [], []
+    seen_ids = set()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(fields) != 5:
+                raise ParseError("header must be 'p N0 N1 A E'", lineno)
+            try:
+                header = tuple(int(f) for f in fields[1:])
+            except ValueError:
+                raise ParseError("non-integer header field", lineno) from None
+            if any(v < 0 for v in header):
+                raise ParseError("negative header field", lineno)
+        elif kind == "a":
+            if header is None:
+                raise ParseError("assignment line before header", lineno)
+            if len(fields) != 5:
+                raise ParseError("assignment line must be 'a id left right cost'", lineno)
+            try:
+                aid, left, right = (int(f) for f in fields[1:4])
+                cost = float(fields[4])
+            except ValueError:
+                raise ParseError("malformed assignment line", lineno) from None
+            n_left, n_right, n_assign, _ = header
+            if not 0 <= aid < n_assign:
+                raise ParseError(f"assignment id {aid} out of range [0, {n_assign})", lineno)
+            if aid in seen_ids:
+                raise ParseError(f"duplicate assignment id {aid}", lineno)
+            if not 0 <= left < n_left:
+                raise ParseError(f"left index {left} out of range", lineno)
+            if not 0 <= right < n_right:
+                raise ParseError(f"right index {right} out of range", lineno)
+            seen_ids.add(aid)
+            assignments.append((aid, left, right, cost))
+        elif kind == "e":
+            if header is None:
+                raise ParseError("pairwise line before header", lineno)
+            if len(fields) != 4:
+                raise ParseError("pairwise line must be 'e id1 id2 cost'", lineno)
+            try:
+                id1, id2 = int(fields[1]), int(fields[2])
+                cost = float(fields[3])
+            except ValueError:
+                raise ParseError("malformed pairwise line", lineno) from None
+            pairwise.append((id1, id2, cost))
+            pairwise_lines.append(lineno)
+        else:
+            raise ParseError(f"unknown line type {kind!r}", lineno)
+
+    if header is None:
+        raise ParseError("missing header")
+    n_left, n_right, n_assign, n_pair = header
+    if len(assignments) != n_assign:
+        raise ParseError(f"header promises {n_assign} assignments, found {len(assignments)}")
+    if len(pairwise) != n_pair:
+        raise ParseError(f"header promises {n_pair} pairwise terms, found {len(pairwise)}")
+    left_of = {a[0]: a[1] for a in assignments}
+    for (id1, id2, _), lineno in zip(pairwise, pairwise_lines):
+        for aid in (id1, id2):
+            if aid not in left_of:
+                raise ParseError(f"pairwise term references unknown assignment id {aid}", lineno)
+        if left_of[id1] == left_of[id2]:
+            raise ParseError("pairwise term joins two assignments of the same left point", lineno)
+    return n_left, n_right, sorted(assignments), pairwise
+
+
+def problem_by_dicts(n_left, n_right, assignments, pairwise):
+    """Reference `.dd` to Problem mapping over parse_dd_by_lines' records:
+    per-node candidate lists, a dict of costs and one table per edge,
+    filled term by term."""
+    cand = [[] for _ in range(n_left)]
+    cost_of = {}
+    for _, left, right, cost in assignments:
+        if (left, right) in cost_of:
+            raise ValueError(f"two assignments for left {left}, right {right}")
+        cost_of[(left, right)] = cost
+        cand[left].append(right)
+    for labels in cand:
+        labels.sort()
+    unary = [np.array([cost_of[(u, s)] for s in cand[u]] + [0.0]) for u in range(n_left)]
+    by_id = {a[0]: a for a in assignments}
+    tables = {}
+    for id1, id2, cost in pairwise:
+        (u, s), (v, t) = sorted([by_id[id1][1:3], by_id[id2][1:3]])
+        if (u, v) not in tables:
+            tables[(u, v)] = np.zeros((len(cand[u]) + 1, len(cand[v]) + 1))
+        tables[(u, v)][cand[u].index(s), cand[v].index(t)] += cost
+    return Problem(n_left, n_right, cand, unary, tables)
+
+
+PROBLEM_ARRAYS = ("table_buffer", "unary_flat", "slot_labels", "offsets", "edges",
+                  "edge_start", "edge_cols", "msg_start", "nbr_nodes")
+
+
+def same_problem_bytes(p, q):
+    """True iff the flat arrays of two Problems agree byte for byte."""
+    return all(np.asarray(getattr(p, name)).tobytes() == np.asarray(getattr(q, name)).tobytes()
+               and np.asarray(getattr(p, name)).shape == np.asarray(getattr(q, name)).shape
+               for name in PROBLEM_ARRAYS)

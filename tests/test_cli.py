@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert code == 1
         assert "line 2" in err
+
+    def test_file_longer_than_a_chunk_solves_as_its_text(self, tmp_path, capsys):
+        # 20 nodes x 20 labels: 76,000 pairwise lines, more than one chunk of
+        # the streaming reader.
+        rng = np.random.default_rng(3)
+        n = 20
+        lines = [f"p {n} {n} {n * n} {n * (n - 1) // 2 * n * n}"]
+        lines += [f"a {u * n + s} {u} {s} {rng.normal()!r}" for u in range(n) for s in range(n)]
+        costs = iter(rng.normal(size=n * (n - 1) // 2 * n * n).tolist())
+        lines += [f"e {a} {b} {next(costs)!r}" for a in range(n * n)
+                  for b in range(a + 1, n * n) if a // n != b // n]
+        text = "\n".join(lines) + "\n"
+        assert len(lines) > qf.ddio._CHUNK_LINES
+        path, trace = tmp_path / "long.dd", tmp_path / "trace.csv"
+        path.write_text(text)
+        assert main(["solve", str(path), "--max-batches", "3", "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        outcome = qf.solve(qf.to_problem(qf.parse_dd(text)), qf.SolverConfig(max_batches=3))
+        expected = io.StringIO()
+        qf.write_trace(outcome.trace, expected)
+        assert trace.read_text() == expected.getvalue()
 
     def test_trace_files_byte_identical_across_runs(self, two_node_dd, tmp_path, capsys):
         t1, t2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import qapfuse as qf
-from helpers import candidates, edge_table, random_dd_text, unary_costs
+from helpers import (candidates, edge_table, parse_dd_by_lines, problem_by_dicts, random_dd_text,
+                     same_problem_bytes, unary_costs)
+from qapfuse import ddio
 
 MINIMAL = "p 1 1 1 0\na 0 0 0 -2.5\n"
 TWO_NODE = "p 2 2 2 1\na 0 0 0 1\na 1 1 1 1\ne 0 1 -3\n"
@@ -193,3 +195,184 @@ class TestTrace:
                 assert b.best_energy is None
             else:
                 assert b.best_energy == pytest.approx(a.best_energy, rel=1e-5)
+
+
+def _load(text):
+    return qf.to_problem(qf.parse_dd(text))
+
+
+def _load_by_lines(text):
+    return problem_by_dicts(*parse_dd_by_lines(text))
+
+
+def _outcome(load, text):
+    """The Problem a loader builds from text, or its error's type, message
+    and line."""
+    try:
+        return load(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _assert_same_outcome(text):
+    """Load text as a string and as a stream, and compare both with the
+    reference loader; returns the reference's outcome."""
+    reference = _outcome(_load_by_lines, text)
+    for source in (text, io.StringIO(text)):
+        ours = _outcome(_load, source)
+        if isinstance(reference, tuple):
+            assert ours == reference
+        else:
+            assert same_problem_bytes(ours, reference)
+    return reference
+
+
+# Cost tokens that float() reads, beside full-precision reprs.
+ODD_COSTS = ["+3", ".5", "1_000", "-0.0", "1e-310", "7", "-2E3"]
+
+
+def _dd_lines(rng, n_left, n_right):
+    """Records of a random valid `.dd` file as lists of tokens, header
+    first: assignment ids out of file order, a and e lines interleaved,
+    repeated terms and terms whose first id has the larger left point."""
+    pairs = [(u, s) for u in range(n_left) for s in range(n_right) if rng.random() < 0.7]
+    ids = rng.permutation(len(pairs)).tolist()
+
+    def cost():
+        if rng.random() < 0.1:
+            return str(rng.choice(ODD_COSTS))
+        return repr(float(rng.normal() * 10.0 ** rng.integers(-4, 5)))
+
+    body = [["a", str(aid), str(u), str(s), cost()] for aid, (u, s) in zip(ids, pairs)]
+    for _ in range(int(rng.integers(0, 4 * len(pairs) + 1))):
+        i, j = rng.integers(0, len(pairs), 2)
+        if pairs[i][0] != pairs[j][0]:
+            body.append(["e", str(ids[i]), str(ids[j]), cost()])
+            while rng.random() < 0.3:
+                body.append(list(body[-1]) if rng.random() < 0.5
+                            else ["e", str(ids[j]), str(ids[i]), cost()])
+    body = [body[k] for k in rng.permutation(len(body))]
+    n_pairs = sum(line[0] == "e" for line in body)
+    return [["p", str(n_left), str(n_right), str(len(pairs)), str(n_pairs)]] + body
+
+
+def _render(rng, lines):
+    """File text of token lines with random separators, leading and trailing
+    whitespace, CRLF line ends, comments and blank lines."""
+    out = []
+    for fields in lines:
+        while rng.random() < 0.15:
+            out.append(str(rng.choice(["c a comment", "c", "cfoo 1 2", "", "   ", "\t", "\r"])))
+        lead = str(rng.choice(["", "", "", " ", "\t", "  \t"]))
+        seps = [str(rng.choice([" ", " ", "\t", "  "])) for _ in fields[1:]]
+        line = lead + fields[0] + "".join(s + f for s, f in zip(seps, fields[1:]))
+        out.append(line + str(rng.choice(["", "", " ", "\r"])))
+    return "\n".join(out) + str(rng.choice(["\n", "\r\n", ""]))
+
+
+def _small_chunks(monkeypatch, rng):
+    monkeypatch.setattr(ddio, "_CHUNK_LINES", int(rng.choice([1, 2, 3, 5, 8])))
+
+
+class TestLoaderAgainstLineOracle:
+    def test_random_files_build_identical_problems(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        for _ in range(150):
+            _small_chunks(monkeypatch, rng)
+            lines = _dd_lines(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            text = _render(rng, lines)
+            assert not isinstance(_assert_same_outcome(text), tuple)
+            n_left, n_right, assignments, pairwise = parse_dd_by_lines(text)
+            inst = qf.parse_dd(text)
+            assert inst.assignments == [qf.DdAssignment(*a) for a in assignments]
+            assert inst.pairwise_terms == [qf.DdPairwiseTerm(*t) for t in pairwise]
+
+    def test_file_longer_than_a_chunk(self):
+        rng = np.random.default_rng(71)
+        header, *body = _dd_lines(rng, 12, 12)
+        terms = [line for line in body if line[0] == "e"]
+        body += terms * (ddio._CHUNK_LINES // len(terms))
+        header[4] = str(sum(line[0] == "e" for line in body))
+        text = "\r\n".join(["c long file", " ".join(header)]
+                            + ["        " + "\t".join(body[k]) for k in rng.permutation(len(body))])
+        assert text.count("\n") > ddio._CHUNK_LINES and len(text) > 32 * ddio._CHUNK_LINES
+        assert not isinstance(_assert_same_outcome(text), tuple)
+
+    def test_mutated_files_raise_the_same_errors(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        lines_past_first_chunk = errors_after_an_e_line = 0
+        for trial in range(600):
+            _small_chunks(monkeypatch, rng)
+            lines = _dd_lines(rng, int(rng.integers(2, 6)), int(rng.integers(1, 6)))
+            sizes = [int(f) for f in lines[0][1:]]
+            for _ in range(1 + (trial % 3 == 0)):
+                _mutate(rng, lines, sizes)
+            text = _render(rng, lines)
+            reference = _assert_same_outcome(text)
+            if isinstance(reference, tuple) and reference[2] is not None:
+                lines_past_first_chunk += reference[2] > ddio._CHUNK_LINES
+                first_e = next((k for k, line in enumerate(text.split("\n"))
+                                if line.strip().startswith("e")), len(text))
+                errors_after_an_e_line += reference[2] > first_e + 1
+        assert lines_past_first_chunk > 100 and errors_after_an_e_line > 100
+
+
+def _mutate(rng, lines, sizes):
+    """Break one thing in a token-line file, in place; ``sizes`` are the
+    header's four numbers before any change."""
+    a_lines = [k for k, line in enumerate(lines) if line[0] == "a"]
+    e_lines = [k for k, line in enumerate(lines) if line[0] == "e"]
+    k = int(rng.integers(0, len(lines)))
+    line = lines[k]
+    how = int(rng.integers(0, 13))
+    if how == 0:
+        del line[int(rng.integers(1, len(line)))]
+    elif how == 1:
+        line.insert(int(rng.integers(1, len(line) + 1)), "0")
+    elif how == 2:
+        line[int(rng.integers(1, len(line)))] = str(rng.choice(
+            ["x", "1.5", "nan", "inf", "--1", "1e3", "0x10", "0x1p3", "1__0", "٣", str(2 ** 70)]))
+    elif how == 3:
+        line[0] = str(rng.choice(["x", "ab", "ee", "pp", "P", "a1"]))
+    elif how == 4 and a_lines:
+        target = lines[int(rng.choice(a_lines))]
+        slot = int(rng.integers(1, 4))
+        bound = sizes[{1: 2, 2: 0, 3: 1}[slot]]
+        target[slot] = str(rng.choice([-1, 2 ** 70, bound, bound + 1]))
+    elif how == 5 and len(a_lines) > 1:
+        i, j = rng.choice(a_lines, 2, replace=False)
+        lines[i][1] = lines[j][1]
+    elif how == 6 and e_lines:
+        target = lines[int(rng.choice(e_lines))]
+        target[int(rng.integers(1, 3))] = str(rng.choice([-1, 2 ** 70, sizes[2]]))
+    elif how == 7 and e_lines:
+        target = lines[int(rng.choice(e_lines))]
+        target[2] = target[1]
+    elif how == 8 and lines[0][0] == "p" and len(lines[0]) == 5:
+        slot = int(rng.integers(1, 5))
+        lines[0][slot] = str(sizes[slot - 1] + int(rng.choice([-1, 1])))
+    elif how == 9 and len(lines) > 1:
+        del lines[int(rng.integers(1, len(lines)))]
+    elif how == 10:
+        lines.insert(int(rng.integers(0, len(lines) + 1)), list(lines[0]))
+    elif how == 12:
+        lines.insert(int(rng.integers(1, len(lines) + 1)), lines.pop(0))
+    elif how == 11 and a_lines:
+        target = lines[int(rng.choice(a_lines))]
+        target[2:4] = lines[int(rng.choice(a_lines))][2:4]
+
+
+class TestIdsBeyondInt64:
+    @pytest.mark.parametrize("text", [
+        f"p 2 2 2 1\na {2 ** 70} 0 0 1\na 1 1 1 1\ne 0 1 1\n",
+        f"p 2 2 2 1\na 0 {2 ** 70} 0 1\na 1 1 1 1\ne 0 1 1\n",
+        f"p 2 2 2 1\na 0 0 {2 ** 70} 1\na 1 1 1 1\ne 0 1 1\n",
+        f"p 2 2 2 1\na 0 0 0 1\na 1 1 1 1\ne 0 {2 ** 70} 1\n",
+        f"p 2 2 2 2\na 0 0 0 1\na 1 1 1 1\ne {-2 ** 70} 1 1\ne 0 1 1\n",
+    ])
+    def test_reported_as_parse_errors_with_their_line(self, text):
+        with pytest.raises(qf.ParseError) as err:
+            qf.parse_dd(text)
+        assert str(2 ** 70) in str(err.value)
+        assert ("out of range" in str(err.value)) or ("unknown assignment id" in str(err.value))
+        assert _outcome(_load, text) == _outcome(_load_by_lines, text)
