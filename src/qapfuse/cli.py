@@ -69,7 +69,7 @@ def _build_parser():
 
 
 def _load_problem(path):
-    with open(path, "r") as handle:
+    with open(path, "r", newline="\n") as handle:
         return to_problem(parse_dd(handle))
 
 

@@ -14,9 +14,9 @@ lines reference two existing assignments with distinct left indices;
 repeated (id1, id2) pairs accumulate additively.  Integers and costs read
 as Python's ``int`` and ``float`` read them.
 
-`parse_dd` reads the stream in chunks of lines and keeps the records as
-numpy columns.  It accepts exactly the files a line-by-line reader would,
-and an error names the same first offending line with the same message.
+`parse_dd` reads the stream in chunks of lines, each as numpy columns of
+its records.  Only a chunk that holds an error is read again, a line at a
+time, which finds its first bad line and words the message.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.
@@ -158,182 +158,166 @@ def _pick(lines, at):
     return [lines[i] for i in at.tolist()]
 
 
-# Per data line kind: its name in messages and its fields.
-_KINDS = {"a": ("assignment", "a id left right cost"), "e": ("pairwise", "e id1 id2 cost")}
-
-
-def _fields(lines, kind):
-    """Columns (integer fields, then the cost) of the lines of one kind, and
-    the index and message of the first line that does not parse, or None."""
-    what, usage = _KINDS[kind]
-    width = len(usage.split())
+def _fields(lines, kind, width):
+    """Columns (integer fields, then the cost) of the lines of one kind, or
+    None if one of them does not parse."""
     tokens = " ".join(lines).split()
     # Each line's first token starts with the kind letter, as no number
     # does.  If the token count is right and every kind slot holds the kind,
     # a line with another field count puts a later line's first token in a
     # number slot, and that line fails to convert.
-    if len(tokens) == width * len(lines) and tokens[::width].count(kind) == len(lines):
-        try:
-            return ([_ints(tokens[c::width]) for c in range(1, width - 1)]
-                    + [np.array(tokens[width - 1::width], dtype=np.float64)]), None
-        except ValueError:
-            pass
-    for i, line in enumerate(lines):
-        fields = line.split()
-        if fields[0] != kind:
-            bad = f"unknown line type {fields[0]!r}"
-        elif len(fields) != width:
-            bad = f"{what} line must be '{usage}'"
-        else:
-            try:
-                list(map(int, fields[1:-1])), float(fields[-1])
-            except ValueError:
-                bad = f"malformed {what} line"
-            else:
-                continue
-        return _fields(lines[:i], kind)[0], (i, bad)
-
-
-class _DdReader:
-    """parse_dd's state between chunks: the header, the columns of the
-    assignment and pairwise lines read so far, the pairwise lines' numbers
-    and the assignment ids seen, sorted."""
-
-    def __init__(self):
-        self.header = None
-        self.assignments = []
-        self.terms = []
-        self.term_lines = []
-        self.seen = np.zeros(0, dtype=np.int64)
-
-    def _header(self, fields):
-        """Take a header line; return its error message, if any."""
-        if fields[0] != "p":
-            return f"unknown line type {fields[0]!r}"
-        if self.header is not None:
-            return "duplicate header"
-        if len(fields) != 5:
-            return "header must be 'p N0 N1 A E'"
-        try:
-            header = tuple(int(f) for f in fields[1:])
-        except ValueError:
-            return "non-integer header field"
-        if any(v < 0 for v in header):
-            return "negative header field"
-        self.header = header
+    if len(tokens) != width * len(lines) or tokens[::width].count(kind) != len(lines):
+        return None
+    try:
+        return ([_ints(tokens[c::width]) for c in range(1, width - 1)]
+                + [np.array(tokens[width - 1::width], dtype=np.float64)])
+    except ValueError:
         return None
 
-    def _check_assignments(self, ids, left, right):
-        """Index and message of the first assignment whose values break a
-        rule, or None after adding the ids to those seen; a line reports
-        the first rule it breaks."""
-        if not ids.size:
+
+def _header(fields):
+    """The four numbers of a well-formed header line's fields, or None."""
+    try:
+        numbers = tuple(int(f) for f in fields[1:])
+    except ValueError:
+        return None
+    return numbers if fields[0] == "p" and len(numbers) == 4 and min(numbers) >= 0 else None
+
+
+def _read_chunk(lines, header, seen):
+    """Read one chunk of lines as columns, after the header and the sorted
+    assignment ids of the chunks before it.  Returns the header, the ids
+    seen, the assignment and pairwise columns and the pairwise lines'
+    positions in the chunk; None if a line breaks a rule."""
+    # A line's kind is its first character, or its first after leading
+    # whitespace; a blank line counts as a comment.
+    heads = "".join([raw[:1] or "\n" for raw in lines])
+    kind = np.frombuffer(heads.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).copy()
+    for i in np.flatnonzero((kind != _A) & (kind != _E) & (kind != _C)).tolist():
+        line = lines[i].strip()
+        kind[i] = ord(line[0]) if line else _C
+    is_a, is_e = kind == _A, kind == _E
+    other = np.flatnonzero(~(is_a | is_e | (kind == _C)))
+    if header is None and other.size and not (is_a | is_e)[:other[0]].any():
+        header = _header(lines[other[0]].split())
+        other = other[1:] if header else other
+    if other.size or (header is None and (is_a | is_e).any()):
+        return None
+    a_at, e_at = np.flatnonzero(is_a), np.flatnonzero(is_e)
+    assignments, terms = _fields(_pick(lines, a_at), "a", 5), _fields(_pick(lines, e_at), "e", 4)
+    if assignments is None or terms is None:
+        return None
+    if a_at.size:
+        n_left, n_right, n_assign, _ = header
+        ids, left, right, _ = assignments
+        if any(c.min() < 0 or c.max() >= n for c, n in
+               ((ids, n_assign), (left, n_left), (right, n_right))):
             return None
-        n_left, n_right, n_assign, _ = self.header
-        # A stable sort after the ids seen puts each repeat after its first.
-        seen = np.concatenate((self.seen, ids))
-        order = np.argsort(seen, kind="stable")
-        repeat = np.zeros(seen.size, dtype=bool)
-        repeat[order[1:]] = seen[order[1:]] == seen[order[:-1]]
-        rules = ((ids < 0) | (ids >= n_assign),
-                 repeat[self.seen.size:],
-                 (left < 0) | (left >= n_left),
-                 (right < 0) | (right >= n_right))
-        bad = np.flatnonzero(np.logical_or.reduce(rules))
-        if not bad.size:
-            self.seen = seen[order]
+        seen = np.sort(np.concatenate((seen, ids)))
+        if np.any(seen[1:] == seen[:-1]):
             return None
-        j = bad[0]
-        aid = int(ids[j])
-        messages = (f"assignment id {aid} out of range [0, {n_assign})",
-                    f"duplicate assignment id {aid}",
-                    f"left index {int(left[j])} out of range",
-                    f"right index {int(right[j])} out of range")
-        return j, next(m for rule, m in zip(rules, messages) if rule[j])
+    return header, seen, assignments, terms, e_at
 
-    def feed(self, lines, first):
-        """Read one chunk of lines; ``first`` is the number of its first."""
-        # A line's kind is its first character, or its first after leading
-        # whitespace; a blank line counts as a comment.
-        heads = "".join([raw[:1] or "\n" for raw in lines])
-        kind = np.frombuffer(heads.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).copy()
-        for i in np.flatnonzero((kind != _A) & (kind != _E) & (kind != _C)).tolist():
-            line = lines[i].strip()
-            kind[i] = ord(line[0]) if line else _C
-        is_a, is_e = kind == _A, kind == _E
-        # Header and unknown lines run in order up to the first bad one;
-        # errors collect as (index in chunk, message), the earliest wins.
-        stop, errors = len(lines), []
-        opens = 0 if self.header is not None else len(lines)
-        for i in np.flatnonzero(~(is_a | is_e | (kind == _C))).tolist():
-            message = self._header(lines[i].split())
-            if message:
-                stop = i
-                errors.append((i, message))
-                break
-            opens = i
-        data = np.flatnonzero((is_a | is_e)[:stop])
-        if data.size and data[0] < opens:
-            word = lines[data[0]].split()[0]
-            message = (f"{_KINDS[word][0]} line before header" if word in _KINDS
-                       else f"unknown line type {word!r}")
-            raise ParseError(message, first + int(data[0]))
 
-        a_at, e_at = np.flatnonzero(is_a[:stop]), np.flatnonzero(is_e[:stop])
-        assignments, a_bad = _fields(_pick(lines, a_at), "a")
-        terms, e_bad = _fields(_pick(lines, e_at), "e")
-        for at, bad in ((a_at, a_bad), (a_at, self._check_assignments(*assignments[:3])),
-                        (e_at, e_bad)):
-            if bad:
-                errors.append((int(at[bad[0]]), bad[1]))
-        if errors:
-            i, message = min(errors)
-            raise ParseError(message, first + i)
-        self.assignments.append(assignments)
-        self.terms.append(terms)
-        self.term_lines.append(first + e_at)
-
-    def finish(self):
-        """The instance read, after the checks that need the whole file."""
-        if self.header is None:
-            raise ParseError("missing header")
-        n_left, n_right, n_assign, n_pair = self.header
-        ids, left, right, cost = (np.concatenate(c) for c in zip(*self.assignments))
-        if ids.size != n_assign:
-            raise ParseError(f"header promises {n_assign} assignments, found {ids.size}")
-        id1, id2, pair_cost = (np.concatenate(c) for c in zip(*self.terms))
-        if id1.size != n_pair:
-            raise ParseError(f"header promises {n_pair} pairwise terms, found {id1.size}")
-
-        # The ids are now a permutation of range(n_assign).
-        order = np.argsort(ids)
-        left_of = left[order]
-        unknown1, unknown2 = (id1 < 0) | (id1 >= n_assign), (id2 < 0) | (id2 >= n_assign)
-        known = ~(unknown1 | unknown2)
-        same = np.zeros(id1.size, dtype=bool)
-        same[known] = (left_of[id1[known].astype(np.int64)]
-                       == left_of[id2[known].astype(np.int64)])
-        bad = np.flatnonzero(unknown1 | unknown2 | same)
-        if bad.size:
-            k = bad[0]
-            line = int(np.concatenate(self.term_lines)[k])
-            if same[k]:
-                raise ParseError("pairwise term joins two assignments of the same left point", line)
-            aid = int(id1[k] if unknown1[k] else id2[k])
-            raise ParseError(f"pairwise term references unknown assignment id {aid}", line)
-        return DdInstance(n_left, n_right,
-                          _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)]),
-                          _Records(DdPairwiseTerm, [id1, id2, pair_cost]))
+def _reject(lines, first, header, seen):
+    """Raise the first error of a chunk that does not read as columns,
+    reading it a line at a time after the header and the assignment ids
+    of the chunks before it; ``first`` is the number of its first line."""
+    seen = set(seen.tolist())
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        kind = fields[0]
+        if kind == "p":
+            if header is not None:
+                raise ParseError("duplicate header", lineno)
+            if len(fields) != 5:
+                raise ParseError("header must be 'p N0 N1 A E'", lineno)
+            try:
+                header = tuple(int(f) for f in fields[1:])
+            except ValueError:
+                raise ParseError("non-integer header field", lineno) from None
+            if any(v < 0 for v in header):
+                raise ParseError("negative header field", lineno)
+        elif kind == "a":
+            if header is None:
+                raise ParseError("assignment line before header", lineno)
+            if len(fields) != 5:
+                raise ParseError("assignment line must be 'a id left right cost'", lineno)
+            try:
+                aid, left, right = (int(f) for f in fields[1:4])
+                float(fields[4])
+            except ValueError:
+                raise ParseError("malformed assignment line", lineno) from None
+            n_left, n_right, n_assign, _ = header
+            if not 0 <= aid < n_assign:
+                raise ParseError(f"assignment id {aid} out of range [0, {n_assign})", lineno)
+            if aid in seen:
+                raise ParseError(f"duplicate assignment id {aid}", lineno)
+            if not 0 <= left < n_left:
+                raise ParseError(f"left index {left} out of range", lineno)
+            if not 0 <= right < n_right:
+                raise ParseError(f"right index {right} out of range", lineno)
+            seen.add(aid)
+        elif kind == "e":
+            if header is None:
+                raise ParseError("pairwise line before header", lineno)
+            if len(fields) != 4:
+                raise ParseError("pairwise line must be 'e id1 id2 cost'", lineno)
+            try:
+                int(fields[1]), int(fields[2]), float(fields[3])
+            except ValueError:
+                raise ParseError("malformed pairwise line", lineno) from None
+        else:
+            raise ParseError(f"unknown line type {kind!r}", lineno)
+    raise AssertionError(f"chunk at line {first} refused as columns, but no line breaks a rule")
 
 
 def parse_dd(source):
     """Parse a `.dd` stream (file object or string) into a DdInstance."""
-    reader = _DdReader()
+    header, seen, assignments, terms = None, np.zeros(0, dtype=np.int64), [], []
     first = 1
     for lines in _chunks(source):
-        reader.feed(lines, first)
+        chunk = _read_chunk(lines, header, seen)
+        if chunk is None:
+            _reject(lines, first, header, seen)
+        header, seen, chunk_assignments, chunk_terms, e_at = chunk
+        assignments.append(chunk_assignments)
+        terms.append(chunk_terms + [first + e_at])
         first += len(lines)
-    return reader.finish()
+
+    # The checks that need the whole file.
+    if header is None:
+        raise ParseError("missing header")
+    n_left, n_right, n_assign, n_pair = header
+    ids, left, right, cost = (np.concatenate(c) for c in zip(*assignments))
+    if ids.size != n_assign:
+        raise ParseError(f"header promises {n_assign} assignments, found {ids.size}")
+    id1, id2, pair_cost, term_lines = (np.concatenate(c) for c in zip(*terms))
+    if id1.size != n_pair:
+        raise ParseError(f"header promises {n_pair} pairwise terms, found {id1.size}")
+
+    # The ids are now a permutation of range(n_assign).
+    order = np.argsort(ids)
+    left_of = left[order]
+    unknown1, unknown2 = (id1 < 0) | (id1 >= n_assign), (id2 < 0) | (id2 >= n_assign)
+    known = ~(unknown1 | unknown2)
+    same = np.zeros(id1.size, dtype=bool)
+    same[known] = (left_of[id1[known].astype(np.int64)]
+                   == left_of[id2[known].astype(np.int64)])
+    bad = np.flatnonzero(unknown1 | unknown2 | same)
+    if bad.size:
+        k = bad[0]
+        line = int(term_lines[k])
+        if same[k]:
+            raise ParseError("pairwise term joins two assignments of the same left point", line)
+        aid = int(id1[k] if unknown1[k] else id2[k])
+        raise ParseError(f"pairwise term references unknown assignment id {aid}", line)
+    return DdInstance(n_left, n_right,
+                      _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)]),
+                      _Records(DdPairwiseTerm, [id1, id2, pair_cost]))
 
 
 def write_dd(instance, sink):

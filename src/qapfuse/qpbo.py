@@ -51,7 +51,9 @@ class MaxFlow:
         self.to.append(a)
         self.cap.append(0.0)
 
-    def _levels(self, source, sink):
+    def _levels(self, source):
+        """Each node's BFS depth from the source in the residual network,
+        or -1 where the source cannot reach it."""
         level = [-1] * len(self.head)
         level[source] = 0
         queue = deque([source])
@@ -62,7 +64,7 @@ class MaxFlow:
                 if level[b] < 0 and self.cap[arc] > self.eps:
                     level[b] = level[a] + 1
                     queue.append(b)
-        return level if level[sink] >= 0 else None
+        return level
 
     def _augment(self, source, sink, level, cursor):
         # Iterative DFS in the level graph; returns one augmentation.
@@ -98,8 +100,8 @@ class MaxFlow:
     def max_flow(self, source, sink):
         total = 0.0
         while True:
-            level = self._levels(source, sink)
-            if level is None:
+            level = self._levels(source)
+            if level[sink] < 0:
                 return total
             cursor = [0] * len(self.head)
             while True:
@@ -110,17 +112,7 @@ class MaxFlow:
 
     def source_side(self, source):
         """Nodes reachable from the source in the residual network."""
-        seen = [False] * len(self.head)
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            for arc in self.head[a]:
-                b = self.to[arc]
-                if not seen[b] and self.cap[arc] > self.eps:
-                    seen[b] = True
-                    queue.append(b)
-        return seen
+        return [depth >= 0 for depth in self._levels(source)]
 
 
 @dataclass

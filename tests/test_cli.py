@@ -54,6 +54,25 @@ class TestSolve:
         assert code == 1
         assert "line 2" in err
 
+    def test_cr_only_file_fails_as_its_text(self, tmp_path, capsys):
+        # LF or CRLF end a line; a lone CR is whitespace inside one.
+        text = TWO_NODE.replace("\n", "\r")
+        path = tmp_path / "cr.dd"
+        path.write_bytes(text.encode())
+        with pytest.raises(qf.ParseError) as expected:
+            qf.parse_dd(text)
+        code = main(["solve", str(path)])
+        out = capsys.readouterr()
+        assert code == 1
+        assert out.out == ""
+        assert str(expected.value) in out.err
+
+    def test_crlf_file_solves(self, tmp_path, capsys):
+        path = tmp_path / "crlf.dd"
+        path.write_bytes(TWO_NODE.replace("\n", "\r\n").encode())
+        assert main(["solve", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("energy=-1 ")
+
     def test_file_longer_than_a_chunk_solves_as_its_text(self, tmp_path, capsys):
         # 20 nodes x 20 labels: 76,000 pairwise lines, more than one chunk of
         # the streaming reader.

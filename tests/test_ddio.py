@@ -270,6 +270,19 @@ def _render(rng, lines):
     return "\n".join(out) + str(rng.choice(["\n", "\r\n", ""]))
 
 
+# Integer forms that int() reads beside plain digits: a sign, leading
+# zeros, underscores, and decimal digits of other scripts.
+ODD_INT_FORMS = ["+{}", "0{}", "0_{}", "+00_{}"]
+ODD_DIGITS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "𝟎𝟏𝟐𝟑𝟒𝟓𝟔𝟕𝟖𝟗"]
+
+
+def _odd_int(rng, token):
+    """A non-negative integer token in another form int() reads the same."""
+    if rng.random() < 0.5:
+        token = token.translate(str.maketrans("0123456789", str(rng.choice(ODD_DIGITS))))
+    return str(rng.choice(ODD_INT_FORMS)).format(token)
+
+
 def _small_chunks(monkeypatch, rng):
     monkeypatch.setattr(ddio, "_CHUNK_LINES", int(rng.choice([1, 2, 3, 5, 8])))
 
@@ -297,6 +310,21 @@ class TestLoaderAgainstLineOracle:
                             + ["        " + "\t".join(body[k]) for k in rng.permutation(len(body))])
         assert text.count("\n") > ddio._CHUNK_LINES and len(text) > 32 * ddio._CHUNK_LINES
         assert not isinstance(_assert_same_outcome(text), tuple)
+
+    def test_odd_integer_tokens_read_as_int_reads_them(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        odd = 0
+        for _ in range(200):
+            _small_chunks(monkeypatch, rng)
+            lines = _dd_lines(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+            for line in lines:
+                # Header fields, ids and indices; never a cost.
+                for k in range(1, len(line) - (line[0] != "p")):
+                    if rng.random() < 0.5:
+                        line[k] = _odd_int(rng, line[k])
+                        odd += 1
+            assert not isinstance(_assert_same_outcome(_render(rng, lines)), tuple)
+        assert odd > 2000
 
     def test_mutated_files_raise_the_same_errors(self, monkeypatch):
         rng = np.random.default_rng(72)
