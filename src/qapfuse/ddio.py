@@ -29,6 +29,7 @@ significant digits and a missing best energy is an empty field.
 import io
 import itertools
 from collections.abc import Iterable, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -70,7 +71,8 @@ class DdInstance:
     ``pairwise_terms`` an iterable of DdPairwiseTerm; both are stored as
     given.  `parse_dd` gives them as read-only sequences backed by numpy
     columns (assignments sorted by id, terms in file order) that make a
-    record only when one is read."""
+    record only when one is read.  An instance built by hand is checked by
+    the file's rules when `to_problem` reads it."""
     n_left: int
     n_right: int
     assignments: Sequence
@@ -78,11 +80,12 @@ class DdInstance:
 
 
 class _Records(Sequence):
-    """Read-only sequence of ``record`` tuples stored as numpy columns."""
+    """Read-only ``record`` tuples stored as numpy columns, checked against the file ``header``."""
 
-    def __init__(self, record, columns):
+    def __init__(self, record, columns, header):
         self.record = record
         self.columns = columns
+        self.header = header
 
     def __len__(self):
         return len(self.columns[0])
@@ -102,16 +105,6 @@ class _Records(Sequence):
 
     def __repr__(self):
         return f"<{len(self)} {self.record.__name__} records>"
-
-
-def _columns(records, record):
-    """The numpy columns of a record sequence; built from the records unless
-    it keeps them already."""
-    if isinstance(records, _Records):
-        return records.columns
-    fields = list(zip(*records)) or [()] * len(record._fields)
-    return [np.array(values, dtype=np.float64 if name == "cost" else np.int64)
-            for values, name in zip(fields, record._fields)]
 
 
 def _lines(source):
@@ -316,35 +309,45 @@ def parse_dd(source):
         aid = int(id1[k] if unknown1[k] else id2[k])
         raise ParseError(f"pairwise term references unknown assignment id {aid}", line)
     return DdInstance(n_left, n_right,
-                      _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)]),
-                      _Records(DdPairwiseTerm, [id1, id2, pair_cost]))
+                      _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)], header),
+                      _Records(DdPairwiseTerm, [id1, id2, pair_cost], header))
+
+
+def _opened(sink):
+    """A context giving a text stream to write: a ``str``/``bytes`` path is
+    opened with LF line ends and closed at exit; a stream is left open."""
+    return open(sink, "w", newline="\n") if isinstance(sink, (str, bytes)) else nullcontext(sink)
 
 
 def write_dd(instance, sink):
     """Write a DdInstance in canonical `.dd` form (floats via repr, LF)."""
-    own = isinstance(sink, (str, bytes))
-    out = open(sink, "w", newline="\n") if own else sink
-    try:
+    with _opened(sink) as out:
         out.write(f"p {instance.n_left} {instance.n_right} "
                   f"{len(instance.assignments)} {len(instance.pairwise_terms)}\n")
         for a in instance.assignments:
             out.write(f"a {a.id} {a.left} {a.right} {float(a.cost)!r}\n")
         for e in instance.pairwise_terms:
             out.write(f"e {e.id1} {e.id2} {float(e.cost)!r}\n")
-    finally:
-        if own:
-            out.close()
 
 
 def to_problem(instance):
     """Build the in-memory Problem: left points become nodes, right points
-    the label pool, dummy costs 0, unspecified pairwise entries 0.  The
-    assignment ids must be 0, 1, ..., A - 1 in some order, as in a file."""
+    the label pool, dummy costs 0, unspecified pairwise entries 0.  An
+    instance `parse_dd` did not make (one built by hand) is first written
+    with `write_dd` and parsed again, so it is checked by the file's rules
+    and its errors are ParseErrors naming a line of that text.  Two
+    assignments with one (left, right) pair raise ValueError."""
+    # parse_dd gives both sequences the one header they were checked against.
+    header = getattr(instance.assignments, "header", ())
+    if (header[:2] != (instance.n_left, instance.n_right)
+            or header is not getattr(instance.pairwise_terms, "header", None)):
+        text = io.StringIO()
+        write_dd(instance, text)
+        instance = parse_dd(text.getvalue())
     n = instance.n_left
-    ids, left, right, cost = _columns(instance.assignments, DdAssignment)
-    id1, id2, pair_cost = _columns(instance.pairwise_terms, DdPairwiseTerm)
-    if np.any((left < 0) | (left >= n)):
-        raise ValueError(f"left index out of range [0, {n})")
+    # Assignments are sorted by id and the ids are 0..A-1: row k is id k.
+    _, left, right, cost = instance.assignments.columns
+    id1, id2, pair_cost = instance.pairwise_terms.columns
     order = np.lexsort((right, left))
     by_node, labels = left[order], right[order]
     again = order[1:][(by_node[1:] == by_node[:-1]) & (labels[1:] == labels[:-1])]
@@ -361,18 +364,9 @@ def to_problem(instance):
     cand = [labels[start[u]:start[u + 1]] for u in range(n)]
     unary = [flat[start[u] + u:start[u + 1] + u + 1] for u in range(n)]
 
-    if not np.array_equal(np.sort(ids), np.arange(ids.size)):
-        raise ValueError("assignment ids must be 0, 1, ..., A - 1")
-    row_of = np.empty_like(ids)
-    row_of[ids] = np.arange(ids.size)
-    terms = np.column_stack((id1, id2))
-    unknown = terms[(terms < 0) | (terms >= ids.size)]
-    if unknown.size:
-        raise ValueError(f"pairwise term references unknown assignment id {unknown[0]}")
-    row = row_of[terms]
+    # parse_dd checked that the two ends of every term are different nodes.
+    row = np.column_stack((id1, id2))
     ends, slot = left[row], rank[row]
-    if np.any(ends[:, 0] == ends[:, 1]):
-        raise ValueError("pairwise term joins two assignments of the same left point")
     flip = ends[:, 0] > ends[:, 1]
     ends[flip], slot[flip] = ends[flip, ::-1], slot[flip, ::-1]
 
@@ -411,14 +405,9 @@ def parse_proposals(source, problem):
 
 
 def write_proposals(assignments, sink):
-    own = isinstance(sink, (str, bytes))
-    out = open(sink, "w", newline="\n") if own else sink
-    try:
+    with _opened(sink) as out:
         for x in assignments:
             out.write(" ".join(str(int(s)) for s in x) + "\n")
-    finally:
-        if own:
-            out.close()
 
 
 @dataclass
@@ -444,16 +433,11 @@ def _fmt(value):
 
 def write_trace(records, sink):
     """Emit trace records as CSV (header always present, floats to 6 s.d.)."""
-    own = isinstance(sink, (str, bytes))
-    out = open(sink, "w", newline="\n") if own else sink
-    try:
+    with _opened(sink) as out:
         out.write(TRACE_HEADER + "\n")
         for r in records:
             out.write(f"{r.iteration},{_fmt(r.elapsed_seconds)},{_fmt(r.dual_bound)},"
                       f"{_fmt(r.best_energy)},{r.event}\n")
-    finally:
-        if own:
-            out.close()
 
 
 def read_trace(source):

@@ -33,7 +33,6 @@ proposal it is 2^m * (|V|/n + 1)^n, the n = 0 case degenerating to 2^m.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -139,11 +138,11 @@ def build_fusion(problem, x1, x2):
             if s != DUMMY:
                 sides_of.setdefault(s, []).append((i, side))
     clashes = []
+    # A variable's two sides differ, so one label's entries have i < j.
     for entries in sides_of.values():
         for a, (i, si) in enumerate(entries):
             for j, sj in entries[a + 1:]:
-                if i != j:  # entries run in variable order, so i < j
-                    clashes.append((row.setdefault((i, j), len(row)), si, sj))
+                clashes.append((row.setdefault((i, j), len(row)), si, sj))
     tables = np.zeros((len(row), 2, 2))
     tables[:len(blocks)] = blocks
     for cell in clashes:
@@ -167,12 +166,9 @@ def count_bound(problem, x2):
     Returns an int, or None when the bound exceeds 2^63 - 1.
     """
     m, n = proposal_counts(problem, x2)
-    if n == 0:
-        bound = Fraction(2) ** m
-    else:
-        bound = Fraction(2) ** m * (Fraction(problem.num_nodes, n) + 1) ** n
-    value = -(-bound.numerator // bound.denominator)  # ceiling
-    return None if value > _COUNT_SATURATION else int(value)
+    # The ceiling of 2^m * (V + n)^n / n^n in integers; 0**0 == 1 covers n = 0.
+    value = -(-(2**m * (problem.num_nodes + n)**n) // n**n)
+    return None if value > _COUNT_SATURATION else value
 
 
 def penalty_free_labelings(fp):

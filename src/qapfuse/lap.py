@@ -25,9 +25,6 @@ def solve_lap(problem, costs):
     rectangular matrix with one zero-cost dummy column per node.
     """
     n, L = problem.num_nodes, problem.num_labels
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0.0
-
     spans = zip(problem.offsets[:-1].tolist(), problem.offsets[1:].tolist())
     blocked = 1.0 + sum(float(np.abs(costs[a:b - 1]).sum()) for a, b in spans)
     matrix = np.full((n, L + n), blocked)

@@ -103,11 +103,10 @@ class Problem:
         self.slot_keys = np.repeat(np.arange(n), size) * (self.num_labels + 1) + np.where(
             self.slot_labels == DUMMY, self.num_labels, self.slot_labels)
 
-        items = sorted((pairwise or {}).items())
         self.edges = []
         last = [0] * n
-        level = []
-        for (u, v), table in items:
+        level, tables = [], []
+        for (u, v), table in sorted((pairwise or {}).items()):
             if not (0 <= u < v < num_nodes):
                 raise ValueError(f"bad edge ({u}, {v}): need 0 <= u < v < num_nodes")
             t = np.asarray(table, dtype=np.float64)
@@ -119,7 +118,8 @@ class Problem:
             self.edges.append((u, v))
             level.append(max(last[u], last[v]))
             last[u] = last[v] = level[-1] + 1
-        self._build_tables([t for _, t in items], level)
+            tables.append(t)
+        self._build_tables(tables, level)
 
         # Every edge once from each end, sorted by (node, neighbour).
         own = self.edge_nodes.T.ravel()
@@ -146,14 +146,13 @@ class Problem:
                               for c in (self.unary_flat, self.table_buffer))
 
     def _build_tables(self, tables, level):
-        """Fill the read-only table buffer in (level, shape) order, and the
-        per-level batches and per-edge indices that address it."""
+        """Lay the float64 tables out in the read-only table buffer in
+        (level, shape) order, and build the per-level batches and per-edge
+        indices that address it."""
         shape = [t.shape for t in tables]
         order = sorted(range(len(tables)), key=lambda e: (level[e], shape[e], e))
         start = np.cumsum([0] + [tables[e].size for e in order]).tolist()
-        self.table_buffer = np.empty(start[-1])
-        for e, s in zip(order, start):
-            self.table_buffer[s:s + tables[e].size] = tables[e].ravel()
+        self.table_buffer = np.concatenate([tables[e].ravel() for e in order] or [np.zeros(0)])
         self.table_buffer.flags.writeable = False
 
         # edge_rank[e]: position of edge e in buffer order; edge_start and

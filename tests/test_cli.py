@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,3 +250,17 @@ class TestBound:
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args,code,stream,start", [
+    (["solve", "{dd}"], 0, "stdout", "energy=-2.5 bound=-2.5 gap=0 optimal=true time="),
+    (["solve", "{dd}", "--max-batches", "0"], 2, "stderr", "usage: qapfuse solve"),
+    ([], 2, "stderr", "usage: qapfuse"),
+])
+def test_module_entry_point(minimal_dd, args, code, stream, start):
+    src = Path(__file__).resolve().parent.parent / "src"
+    argv = [sys.executable, "-m", "qapfuse"] + [a.format(dd=minimal_dd) for a in args]
+    result = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                            text=True, timeout=120)
+    assert result.returncode == code, result.stderr
+    assert getattr(result, stream).startswith(start)

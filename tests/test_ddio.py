@@ -124,6 +124,61 @@ class TestToProblem:
                           if t.id1 in ids and t.id2 in ids)
             assert qf.energy(p, x) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
+    def test_hand_built_instance_builds_its_written_text(self):
+        # Records out of id order, numpy ids and costs, a repeated term.
+        A, T = qf.DdAssignment, qf.DdPairwiseTerm
+        inst = qf.DdInstance(3, 4, [A(2, 2, 3, np.float32(0.25)), A(0, 0, 1, np.float64(-1.5)),
+                                    A(np.int64(3), 1, 0, 2.0), A(1, 0, 3, 7.0)],
+                             [T(3, 0, np.float64(-3.0)), T(1, 2, 0.5), T(0, 3, 1.0)])
+        buffer = io.StringIO()
+        qf.write_dd(inst, buffer)
+        built = qf.to_problem(inst)
+        assert same_problem_bytes(built, qf.to_problem(qf.parse_dd(buffer.getvalue())))
+        assert same_problem_bytes(built, _load_by_lines(buffer.getvalue()))
+
+    @pytest.mark.parametrize("assignments,terms,message", [
+        ([(0, 0, 0, 1.0), (0, 1, 1, 1.0)], [], "line 3: duplicate assignment id 0"),
+        ([(0, 0, 0, 1.0), (1, 2, 1, 1.0)], [], "line 3: left index 2 out of range"),
+        ([(0, 0, 0, 1.0), (1, -1, 1, 1.0)], [], "line 3: left index -1 out of range"),
+        ([(0, 0, 0, 1.0), (2, 1, 1, 1.0)], [], "line 3: assignment id 2 out of range"),
+        ([(0, 0, 0, 1.0), (1, 1, 1, 1.0)], [(0, 5, 1.0)],
+         "line 4: pairwise term references unknown assignment id 5"),
+        ([(0, 0, 0, 1.0), (1, 0, 1, 1.0)], [(1, 0, 1.0)], "line 4: pairwise term joins"),
+    ])
+    def test_hand_built_instance_checked_by_file_rules(self, assignments, terms, message):
+        inst = qf.DdInstance(2, 2, [qf.DdAssignment(*a) for a in assignments],
+                             [qf.DdPairwiseTerm(*t) for t in terms])
+        with pytest.raises(qf.ParseError, match=message):
+            qf.to_problem(inst)
+
+    def test_parsed_instance_is_not_written_again(self, monkeypatch):
+        inst = qf.parse_dd(TWO_NODE)
+        writes = []
+        monkeypatch.setattr(ddio, "write_dd", lambda *args: writes.append(args))
+        qf.to_problem(inst)
+        assert writes == []
+
+    def test_changed_parsed_instance_is_checked_again(self):
+        inst = qf.parse_dd(TWO_NODE)
+        inst.n_left = 1
+        with pytest.raises(qf.ParseError, match="line 3: left index 1 out of range"):
+            qf.to_problem(inst)
+        inst.n_left = 3  # a third, isolated node
+        assert qf.to_problem(inst).num_nodes == 3
+        # Terms of another file, naming an assignment this one lacks.
+        other = qf.parse_dd("p 2 2 3 1\na 0 0 0 1\na 1 1 1 1\na 2 1 0 1\ne 0 2 -3\n")
+        mixed = qf.DdInstance(2, 2, qf.parse_dd(TWO_NODE).assignments, other.pairwise_terms)
+        with pytest.raises(qf.ParseError, match="line 4: .* unknown assignment id 2"):
+            qf.to_problem(mixed)
+
+    def test_write_dd_to_a_path(self, tmp_path):
+        inst = qf.parse_dd("c note\r\n" + TWO_NODE.replace("\n", "\r\n"))
+        canonical = b"p 2 2 2 1\na 0 0 0 1.0\na 1 1 1 1.0\ne 0 1 -3.0\n"
+        path = tmp_path / "out.dd"
+        for sink in (str(path), bytes(path)):
+            qf.write_dd(inst, sink)
+            assert path.read_bytes() == canonical
+
 
 class TestProposals:
     def test_all_dummy_line(self):
@@ -195,6 +250,15 @@ class TestTrace:
                 assert b.best_energy is None
             else:
                 assert b.best_energy == pytest.approx(a.best_energy, rel=1e-5)
+
+    @pytest.mark.parametrize("text,message", [
+        ("iteration,elapsed\n0,0,0,,greedy\n", "line 1: unexpected trace header"),
+        ("\n" + ddio.TRACE_HEADER + "\n0,0,0,,greedy\n\n1,0,0,greedy\n",
+         "line 5: trace row must have 5 fields"),
+    ])
+    def test_read_errors_carry_their_line(self, text, message):
+        with pytest.raises(qf.ParseError, match=message):
+            qf.read_trace(text)
 
 
 def _load(text):

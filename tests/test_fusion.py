@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -258,6 +260,18 @@ class TestCountBound:
             _, count = restricted_space_optimum(p, x1, x2)
             bound = qf.count_bound(p, x2)
             assert bound is not None and count <= bound
+
+    def test_equals_the_rational_formula(self, monkeypatch):
+        # Every (m, n) pair on |V| < 40 nodes, against 2^m * (|V|/n + 1)^n
+        # in exact fractions, rounded up, 2^m alone for n = 0.
+        for V in range(40):
+            p = qf.Problem(V, 0, [[]] * V, [[0.0]] * V)
+            for m in range(70):
+                for n in range(V + 1):
+                    monkeypatch.setattr(qf.fusion, "proposal_counts", lambda *_: (m, n))
+                    exact = Fraction(2) ** m * ((Fraction(V, n) + 1) ** n if n else 1)
+                    ceiling = -(-exact.numerator // exact.denominator)
+                    assert qf.count_bound(p, None) == (ceiling if ceiling < 2**63 else None)
 
 
 class TestRoofDualityOnFusion:

@@ -36,6 +36,13 @@ class TestSolveLap:
         assert value == 0.0
         assert np.array_equal(labels, [qf.DUMMY, qf.DUMMY])
 
+    @pytest.mark.parametrize("num_labels", [0, 3])
+    def test_no_nodes(self, num_labels):
+        p = qf.Problem(0, num_labels, [], [])
+        labels, value = qf.solve_lap(p, p.unary_flat)
+        assert labels.dtype == np.int64 and labels.shape == (0,)
+        assert value == 0.0 and type(value) is float
+
     def test_shared_label_goes_to_cheaper_node(self):
         p = qf.Problem(2, 1, [[0], [0]],
                        [np.array([-5.0, 0.0]), np.array([-3.0, 0.0])])

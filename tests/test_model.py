@@ -18,6 +18,7 @@ from helpers import (
     random_problem,
     random_reparametrization,
     rebuild_message_sums,
+    same_problem_bytes,
     table_cell,
     unary_costs,
 )
@@ -131,6 +132,41 @@ class TestValidation:
             p.unary_flat[0] = 9.0
         with pytest.raises(ValueError):
             p.table_buffer[0] = 9.0
+
+    @pytest.mark.parametrize("args,message", [
+        ((-1, 2, [], []), "negative sizes"),
+        ((1, -1, [[]], [[0.0]]), "negative sizes"),
+        ((2, 2, [[0]], [[1.0, 0.0], [0.0]]), "one entry per node"),
+        ((2, 2, [[0], [2]], [[1.0, 0.0], [1.0, 0.0]]), "node 1: candidate label out of range"),
+        ((1, 2, [[-1]], [[1.0, 0.0]]), "node 0: candidate label out of range"),
+        ((1, 2, [[1, 0]], [[1.0, 2.0, 0.0]]), "node 0: candidate labels must be strictly"),
+        ((1, 2, [[0, 1]], [[1.0, 0.0]]), "node 0: unary vector must have 3 entries"),
+        ((2, 2, [[0], [1]], [[1.0, 0.0], [np.inf, 0.0]]), "node 1: non-finite unary cost"),
+        ((2, 2, [[0], [1]], [[1.0, 0.0], [2.0, 0.0]], {(1, 0): np.zeros((2, 2))}),
+         r"bad edge \(1, 0\)"),
+        ((2, 2, [[0], [1]], [[1.0, 0.0], [2.0, 0.0]], {(0, 2): np.zeros((2, 2))}),
+         r"bad edge \(0, 2\)"),
+        ((2, 2, [[0], [1]], [[1.0, 0.0], [2.0, 0.0]], {(0, 1): np.zeros((2, 3))}),
+         r"edge \(0, 1\): table shape \(2, 3\), expected \(2, 2\)"),
+        ((2, 2, [[0], [1]], [[1.0, 0.0], [2.0, 0.0]], {(0, 1): [[1.0, np.nan], [3.0, 4.0]]}),
+         r"edge \(0, 1\): non-finite pairwise cost"),
+    ])
+    def test_constructor_rejects(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            qf.Problem(*args)
+
+    def test_nested_lists_build_the_bytes_of_arrays(self):
+        rng = np.random.default_rng(29)
+        for trial in range(40):
+            p = random_problem(rng, max_nodes=6, edge_prob=0.6, integer=trial % 2 == 0)
+            tables = pairwise_tables(p)
+            args = (p.num_nodes, p.num_labels, [candidates(p, u) for u in range(p.num_nodes)])
+            as_arrays = qf.Problem(*args, [np.array(unary_costs(p, u)) for u in range(p.num_nodes)],
+                                   tables)
+            as_lists = qf.Problem(*args, [list(unary_costs(p, u)) for u in range(p.num_nodes)],
+                                  {e: t.tolist() for e, t in tables.items()})
+            assert same_problem_bytes(as_lists, as_arrays)
+            assert same_problem_bytes(as_lists, p)
 
 
 class TestLayout:

@@ -185,6 +185,15 @@ class TestSolve:
         outcome = qf.solve(p, cfg)  # must return promptly
         assert outcome.trace
 
+    def test_spent_time_budget_stops_before_the_first_batch(self):
+        rng = np.random.default_rng(14)
+        p = random_problem(rng, max_nodes=5, min_nodes=5, edge_prob=1.0)
+        # Without a budget the first batch runs: the start is not proved optimal.
+        assert "label-sweep" in [r.event for r in qf.solve(p, qf.SolverConfig(max_batches=1)).trace]
+        outcome = qf.solve(p, qf.SolverConfig(time_budget_seconds=1e-9))
+        assert [r.event for r in outcome.trace] == ["greedy"]
+        assert not outcome.proved_optimal
+
     @pytest.mark.parametrize("field,value", [
         ("max_batches", 0), ("batch_size", 0), ("greedy_generations", -1),
         ("fusion_mode", "ilp"), ("primal_heuristic", "bp"),
