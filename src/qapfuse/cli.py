@@ -97,7 +97,7 @@ def run_solve(args):
 
 def run_fuse(args):
     problem = _load_problem(args.input)
-    with open(args.proposals, "r") as handle:
+    with open(args.proposals, "r", newline="\n") as handle:
         proposals = parse_proposals(handle, problem)
     if not proposals:
         raise ValueError("proposal file is empty")
@@ -112,7 +112,7 @@ def run_fuse(args):
 
 def run_bound(args):
     problem = _load_problem(args.input)
-    with open(args.proposals, "r") as handle:
+    with open(args.proposals, "r", newline="\n") as handle:
         proposals = parse_proposals(handle, problem)
     if len(proposals) != 2:
         raise ValueError(f"bound needs exactly two proposals, found {len(proposals)}")

@@ -396,6 +396,8 @@ def parse_proposals(source, problem):
             labels = np.array([int(f) for f in fields], dtype=np.int64)
         except ValueError:
             raise ParseError("non-integer label", lineno) from None
+        except OverflowError:
+            raise ParseError("label out of int64 range", lineno) from None
         try:
             validate_assignment(problem, labels)
         except ValueError as exc:
@@ -457,11 +459,10 @@ def read_trace(source):
         fields = line.split(",")
         if len(fields) != 5:
             raise ParseError("trace row must have 5 fields", lineno)
-        records.append(SolverTraceRecord(
-            iteration=int(fields[0]),
-            elapsed_seconds=float(fields[1]),
-            dual_bound=float(fields[2]),
-            best_energy=None if fields[3] == "" else float(fields[3]),
-            event=fields[4],
-        ))
+        try:
+            iteration, elapsed, bound = int(fields[0]), float(fields[1]), float(fields[2])
+            best = None if fields[3] == "" else float(fields[3])
+        except ValueError:
+            raise ParseError("malformed trace row", lineno) from None
+        records.append(SolverTraceRecord(iteration, elapsed, bound, best, fields[4]))
     return records

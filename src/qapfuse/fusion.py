@@ -41,6 +41,7 @@ from .qpbo import roof_duality
 
 MAX_EXACT_VARIABLES = 20
 _COUNT_SATURATION = 2**63 - 1
+_IMPROVE_ROUNDS = 3  # passes of qpbo-i's 1-swap descent
 
 
 @dataclass
@@ -189,14 +190,14 @@ def penalty_free_labelings(fp):
             yield x
 
 
-def _improve(fp, bits, rng, rounds=3):
+def _improve(fp, bits, rng):
     """Seeded 1-swap descent on the binary energy (penalties included)."""
     k = fp.num_variables
     incident = [[] for _ in range(k)]
     for (i, j), table in zip(fp.pairs.tolist(), fp.tables):
         incident[i].append((j, table, False))
         incident[j].append((i, table, True))
-    for _ in range(rounds):
+    for _ in range(_IMPROVE_ROUNDS):
         order = rng.permutation(k)
         changed = False
         for i in order:

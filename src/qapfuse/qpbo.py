@@ -13,11 +13,13 @@ a lower bound on the binary minimum (tight when everything is submodular),
 and variables whose copy and anti-copy end up on opposite cut sides carry
 persistent labels: some optimal labeling agrees with all of them at once.
 
-Max-flow is a level-graph augmenting-path implementation with double
-capacities; fusion subproblems are small, so sophisticated flow codes are
-unnecessary here.  An arc counts as saturated when its residual is at most
-1e-12 of the network's largest capacity, so scaling every cost by a power
-of two leaves the labels unchanged.
+Max-flow is Dinic's level-graph augmenting-path scheme over a network
+given as arc arrays (``tails``, ``heads``, ``capacities``), built in one
+step.  It returns the flow value together with the nodes its last BFS
+reached, the source side of the minimal minimum cut.  An arc counts as
+saturated when its residual is at most 1e-12 of the network's largest
+capacity, so scaling every cost by a power of two leaves the labels
+unchanged.
 """
 
 from collections import deque
@@ -31,25 +33,24 @@ _EPS = 1e-12
 
 
 class MaxFlow:
-    """Residual network with paired forward/backward arcs (Dinic's
-    level-graph scheme: repeated BFS layering plus DFS blocking flows)."""
+    """Dinic's level-graph scheme (repeated BFS layering plus DFS blocking
+    flows) on paired arcs: the i-th arc of positive capacity becomes arc 2i
+    (tail -> head) and its reverse arc 2i + 1, and each node lists the arcs
+    leaving it in arc order."""
 
-    def __init__(self, num_nodes):
-        self.head = [[] for _ in range(num_nodes)]
-        self.to = []
-        self.cap = []
-        self.eps = 0.0  # saturation threshold, relative to the largest capacity
-
-    def add_arc(self, a, b, capacity):
-        if capacity <= 0.0:
-            return
-        self.eps = max(self.eps, _EPS * capacity)
-        self.head[a].append(len(self.to))
-        self.to.append(b)
-        self.cap.append(float(capacity))
-        self.head[b].append(len(self.to))
-        self.to.append(a)
-        self.cap.append(0.0)
+    def __init__(self, num_nodes, tails, heads, capacities):
+        capacities = np.asarray(capacities, dtype=np.float64)
+        keep = capacities > 0.0
+        tails = np.asarray(tails, dtype=np.int64)[keep]
+        heads = np.asarray(heads, dtype=np.int64)[keep]
+        capacities = capacities[keep]
+        self.to = np.stack((heads, tails), 1).ravel().tolist()
+        self.cap = np.stack((capacities, np.zeros_like(capacities)), 1).ravel().tolist()
+        self.eps = _EPS * float(capacities.max(initial=0.0))
+        leaves = np.stack((tails, heads), 1).ravel()  # the node each arc leaves
+        order = np.argsort(leaves, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(leaves, minlength=num_nodes)).tolist()
+        self.head = [order[a:b] for a, b in zip([0] + ends, ends)]
 
     def _levels(self, source):
         """Each node's BFS depth from the source in the residual network,
@@ -98,21 +99,19 @@ class MaxFlow:
             cursor[a] += 1
 
     def max_flow(self, source, sink):
+        """The maximum flow value, and which nodes the source still reaches
+        in the residual network (the source side of the minimal min-cut)."""
         total = 0.0
         while True:
             level = self._levels(source)
             if level[sink] < 0:
-                return total
+                return total, np.array(level) >= 0
             cursor = [0] * len(self.head)
             while True:
                 pushed = self._augment(source, sink, level, cursor)
                 if pushed <= 0.0:
                     break
                 total += pushed
-
-    def source_side(self, source):
-        """Nodes reachable from the source in the residual network."""
-        return [depth >= 0 for depth in self._levels(source)]
 
 
 @dataclass
@@ -161,19 +160,16 @@ def roof_duality(unary, pairs, tables, constant=0.0):
     np.add.at(weight, np.concatenate((np.arange(2, 2 + 2 * k), ends.ravel())),
               np.concatenate((np.hstack((slope, -slope)).ravel(), steps.ravel())))
 
-    graph = MaxFlow(2 + 2 * k)
-    for node, w in enumerate(weight.tolist()):
-        if w >= 0.0:
-            graph.add_arc(0, node, w)
-        else:
-            graph.add_arc(node, 1, -w)
-    for (a, b), capacity in zip(ends.reshape(-1, 2).tolist(),
-                                np.repeat(np.abs(defect), 2).tolist()):
-        graph.add_arc(a, b, capacity)
+    # A nonnegative weight is an arc from the source, a negative one to the sink.
+    nodes, to_sink = np.arange(2 + 2 * k), weight < 0.0
+    graph = MaxFlow(2 + 2 * k,
+                    np.concatenate((np.where(to_sink, nodes, 0), ends[..., 0].ravel())),
+                    np.concatenate((np.where(to_sink, 1, nodes), ends[..., 1].ravel())),
+                    np.concatenate((np.abs(weight), np.repeat(np.abs(defect), 2))))
     offset = sequential_sum(np.concatenate((
-        [constant], half_unary.ravel(), routed[:, :, 0, 0].ravel(), weight[weight < 0.0])))
+        [constant], half_unary.ravel(), routed[:, :, 0, 0].ravel(), weight[to_sink])))
 
-    flow = graph.max_flow(0, 1)
-    on_copy, on_anti = np.array(graph.source_side(0))[2:].reshape(-1, 2).T
+    flow, reached = graph.max_flow(0, 1)
+    on_copy, on_anti = reached[2:].reshape(-1, 2).T
     labels = np.where(on_copy != on_anti, on_anti, -1).astype(np.int64)
     return QpboResult(labels=labels, flow_value=offset + flow)

@@ -247,6 +247,22 @@ class TestBound:
         assert "two proposals" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["fuse", "bound"])
+def test_cr_only_proposal_file_fails_as_its_text(subcommand, two_node_dd, tmp_path, capsys):
+    # As for .dd files, a lone CR is whitespace inside a line.
+    text = "0 1\r0 1\r"
+    path = tmp_path / "cr.txt"
+    path.write_bytes(text.encode())
+    with pytest.raises(qf.ParseError) as expected:
+        qf.parse_proposals(text, qf.to_problem(qf.parse_dd(TWO_NODE)))
+    results = [str(tmp_path / "r.csv")] if subcommand == "fuse" else []
+    code = main([subcommand, two_node_dd, str(path)] + results)
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert str(expected.value) in out.err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == 2
     capsys.readouterr()

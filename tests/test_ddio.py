@@ -202,7 +202,8 @@ class TestProposals:
         assert all(np.array_equal(a, b) for a, b in zip(proposals, again))
         assert buffer.getvalue() == lines
 
-    @pytest.mark.parametrize("text", ["0\n", "0 1 2\n", "0 9\n", "a b\n"])
+    @pytest.mark.parametrize("text", ["0\n", "0 1 2\n", "0 9\n", "a b\n",
+                                      "0 99999999999999999999\n"])
     def test_bad_lines_rejected_with_line_number(self, text):
         p = qf.to_problem(qf.parse_dd(TWO_NODE))
         with pytest.raises(qf.ParseError) as err:
@@ -255,6 +256,8 @@ class TestTrace:
         ("iteration,elapsed\n0,0,0,,greedy\n", "line 1: unexpected trace header"),
         ("\n" + ddio.TRACE_HEADER + "\n0,0,0,,greedy\n\n1,0,0,greedy\n",
          "line 5: trace row must have 5 fields"),
+        (ddio.TRACE_HEADER + "\nx,0,0,,greedy\n", "line 2: malformed trace row"),
+        (ddio.TRACE_HEADER + "\n0,0,0,,greedy\n0,abc,0,,greedy\n", "line 3: malformed trace row"),
     ])
     def test_read_errors_carry_their_line(self, text, message):
         with pytest.raises(qf.ParseError, match=message):

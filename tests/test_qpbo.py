@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
 
 import qapfuse as qf
 from helpers import enumerate_binary_energies
@@ -35,15 +37,38 @@ def agreeing_optimum_exists(labels, energies, tol=1e-9):
 
 
 def test_maxflow_small_network():
-    g = qf.MaxFlow(4)
-    g.add_arc(0, 2, 3.0)
-    g.add_arc(0, 3, 2.0)
-    g.add_arc(2, 3, 5.0)
-    g.add_arc(2, 1, 2.0)
-    g.add_arc(3, 1, 3.0)
-    assert g.max_flow(0, 1) == pytest.approx(5.0)
-    side = g.source_side(0)
+    g = qf.MaxFlow(4, [0, 0, 2, 2, 3], [2, 3, 3, 1, 1], [3.0, 2.0, 5.0, 2.0, 3.0])
+    flow, side = g.max_flow(0, 1)
+    assert flow == pytest.approx(5.0)
     assert side[0] and not side[1]
+
+
+def test_maxflow_matches_scipy_on_integer_networks():
+    # Networks shaped like roof duality's (an arc from the source to every
+    # other node and from it to the sink) plus random arcs anywhere.  With
+    # integer capacities every flow and residual is exact.  The set the
+    # source reaches in the residual network is the same for every maximum
+    # flow (the minimal minimum cut), so it is compared with scipy's.
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(2, 31))
+        m = int(rng.integers(0, 4 * n))
+        inner = np.arange(2, n)
+        tails = np.concatenate((np.zeros(n - 2, dtype=np.int64), inner, rng.integers(0, n, m)))
+        heads = np.concatenate((inner, np.ones(n - 2, dtype=np.int64), rng.integers(0, n, m)))
+        capacities = rng.integers(-2**18, 2**20, tails.size).astype(float)  # a fifth dropped
+        flow, reached = qf.MaxFlow(n, tails, heads, capacities).max_flow(0, 1)
+
+        arc = (capacities > 0) & (tails != heads)
+        graph = csr_array((capacities[arc].astype(np.int32), (tails[arc], heads[arc])),
+                          shape=(n, n))
+        expected = maximum_flow(graph, 0, 1)
+        residual = graph.toarray() - expected.flow.toarray()
+        scipy_reached = np.zeros(n, dtype=bool)
+        scipy_reached[breadth_first_order(csr_array(residual > 0), 0,
+                                          return_predecessors=False)] = True
+        assert flow == expected.flow_value
+        assert np.array_equal(reached, scipy_reached)
 
 
 def test_single_variable_exact():
