@@ -191,29 +191,32 @@ def penalty_free_labelings(fp):
 
 
 def _improve(fp, bits, rng):
-    """Seeded 1-swap descent on the binary energy (penalties included)."""
-    k = fp.num_variables
-    incident = [[] for _ in range(k)]
-    for (i, j), table in zip(fp.pairs.tolist(), fp.tables):
-        incident[i].append((j, table, False))
-        incident[j].append((i, table, True))
+    """Seeded 1-swap descent on the binary energy (penalties included), on
+    flat lists of numbers (no containers for the garbage collector to walk):
+    variable i's pairs, in pair order, are the entries ``start[i]:start[i +
+    1]``, and entry q reads ``cells[base[q] + 2 * bits[i] + bits[other[q]]]``,
+    its table turned to put i's bit first."""
+    k, count = fp.num_variables, len(fp.pairs)
+    unary, bits = fp.unary.ravel().tolist(), bits.tolist()
+    cells = np.concatenate((fp.tables, fp.tables.transpose(0, 2, 1))).ravel().tolist()
+    order = np.argsort(fp.pairs.ravel(), kind="stable")
+    other = fp.pairs[:, ::-1].ravel()[order].tolist()
+    base = (4 * (np.arange(count)[:, None] + [0, count])).ravel()[order].tolist()
+    start = np.searchsorted(fp.pairs.ravel()[order], np.arange(k + 1)).tolist()
     for _ in range(_IMPROVE_ROUNDS):
-        order = rng.permutation(k)
         changed = False
-        for i in order:
+        for i in rng.permutation(k).tolist():
             old, new = bits[i], 1 - bits[i]
-            delta = fp.unary[i, new] - fp.unary[i, old]
-            for j, table, transposed in incident[i]:
-                if transposed:
-                    delta += table[bits[j], new] - table[bits[j], old]
-                else:
-                    delta += table[new, bits[j]] - table[old, bits[j]]
+            delta = unary[2 * i + new] - unary[2 * i + old]
+            for q in range(start[i], start[i + 1]):
+                c = base[q] + bits[other[q]]
+                delta += cells[c + 2 * new] - cells[c + 2 * old]
             if delta < 0.0:
                 bits[i] = new
                 changed = True
         if not changed:
             break
-    return bits
+    return np.array(bits, dtype=np.int64)
 
 
 def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
@@ -238,13 +241,10 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
         return min(penalty_free_labelings(fp), key=lambda x: energy(problem, x))
 
     result = roof_duality(fp.unary, fp.pairs, fp.tables, constant=fp.base_energy)
-    k = fp.num_variables
-    zeros = np.zeros(k, dtype=np.int64)
-    ones = np.ones(k, dtype=np.int64)  # decodes to the proposal
+    zeros = np.zeros(fp.num_variables, dtype=np.int64)
     start = fp.binary_energy(zeros)
-    reference = zeros
-    if labels_distinct(fp.proposal) and fp.binary_energy(ones) < start:
-        reference = ones
+    # The all-ones labeling decodes to the proposal.
+    reference = int(labels_distinct(fp.proposal) and fp.binary_energy(zeros + 1) < start)
     bits = _improve(fp, np.where(result.labels >= 0, result.labels, reference), rng)
     fused = fp.decode(bits)
     if not labels_distinct(fused) or fp.binary_energy(bits) > start:

@@ -9,15 +9,21 @@ earlier nodes are excluded, so the result is feasible by construction.
 The same routine runs on the original costs or, given a dual state, on its
 reparametrized costs (matching-side unaries and message-adjusted edge
 tables); in the latter case proposals improve as the dual bound does,
-while their quality is still judged by original energy.  Every cost is
-read from the problem's flat arrays: an assigned neighbour's table column
-is a strided slice of ``table_buffer``, its two messages are slices of
-``edge_flat``.
+while their quality is still judged by original energy.
+
+Costs are pushed, not pulled (buffer layout in :class:`~qapfuse.model.Problem`):
+assigning a node scatters its table column, plus both messages given a dual
+state, into each neighbour's block for it and sets the blocked-row cells of
+its label's owner slots to inf.  A visit sums its node's rows top to bottom,
+as a loop over assigned neighbours in ascending order adds: a zero block
+changes at most the sign of a zero, and adding inf sets a cell to inf.
 
 Randomness comes from numpy's PCG64 generator, seeded explicitly, so runs
 are reproducible across platforms.  Frontier sampling is uniform over the
 sorted frontier; insertion order cannot bias selection.
 """
+
+from bisect import bisect_left, insort
 
 import numpy as np
 
@@ -35,50 +41,50 @@ def greedy_assignment(problem, rng, repar=None):
     rng = np.random.default_rng(rng)
     n = problem.num_nodes
     unary = problem.unary_flat if repar is None else matching_side(problem, repar)
-    table = problem.table_buffer
-    offsets, nbr_start = problem.offsets.tolist(), problem.nbr_start.tolist()
-    edge_start, edge_cols = problem.edge_start.tolist(), problem.edge_cols.tolist()
-    msg_start = problem.msg_start.tolist()
+    offsets, blocks = problem.offsets, problem.block_start
+    size = np.diff(offsets)
+    buffer = np.zeros(blocks[-1])
+    cell = np.arange(unary.size) + np.repeat(blocks[:-1] - offsets[:-1], size)
+    buffer[cell] = unary
+    # Blocked-row cells of each label's owner slots, run by run.
+    bounds = problem.label_starts.tolist() + [problem.label_slots.size]
+    owner_cells = np.append(cell + np.repeat(np.diff(blocks) - size, size), -1)[problem.label_slots]
+    run = np.zeros(unary.size + 1, dtype=np.int64)
+    run[problem.label_slots] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
-    labels = np.full(n, DUMMY, dtype=np.int64)
-    local = [0] * n
-    assigned = np.zeros(n, dtype=bool)
-    frontier = np.zeros(n, dtype=bool)
-    used = np.zeros(problem.num_labels, dtype=bool)
+    table, dest = problem.table_buffer, problem.push_dest
+    base, step, msg_v = problem.push_table, problem.push_step, problem.push_msg_v
+    if repar is not None:
+        msg_u = repar.edge_flat[problem.push_msg_u]
+    offsets, blocks, push = offsets.tolist(), blocks.tolist(), problem.push_start.tolist()
+    nbr_start, nbr_nodes = problem.nbr_start.tolist(), problem.nbr_nodes.tolist()
+    slot_labels, run = problem.slot_labels.tolist(), run.tolist()
 
+    labels = [DUMMY] * n
+    unassigned, frontier = list(range(n)), []
+    seen = [False] * n  # assigned or on the frontier
     for _ in range(n):
-        pool = np.flatnonzero(frontier)
-        if not pool.size:
-            pool = np.flatnonzero(~assigned)
-        u = int(pool[int(rng.integers(pool.size))])
+        pool = frontier or unassigned
+        u = pool.pop(int(rng.integers(len(pool))))
+        if pool is frontier:
+            del unassigned[bisect_left(unassigned, u)]
+        seen[u] = True
 
         a, b = offsets[u], offsets[u + 1]
-        k = b - a - 1  # candidates; slot a + k is the dummy
-        totals = unary[a:b].copy()
-        lo, hi = nbr_start[u], nbr_start[u + 1]
-        nbrs = problem.nbr_nodes[lo:hi]
-        done = assigned[nbrs]
-        for v, e in zip(nbrs[done].tolist(), problem.nbr_edges[lo:hi][done].tolist()):
-            t, s, cols = local[v], edge_start[e], edge_cols[e]
-            # u's labels index the table's rows when u < v, else its columns.
-            if u < v:
-                column = table[s + t:s + (k + 1) * cols:cols]
-                mu, mv = msg_start[e]
-            else:
-                column = table[s + t * cols:s + (t + 1) * cols]
-                mv, mu = msg_start[e]
-            if repar is not None:
-                column = column + repar.edge_flat[mu:mu + k + 1] + repar.edge_flat[mv + t]
-            totals += column
-        totals[:k][used[problem.slot_labels[a:a + k]]] = np.inf
+        rows = buffer[blocks[u]:blocks[u + 1]].reshape(-1, b - a)
+        choice = int(np.add.reduce(rows, axis=0).argmin())  # the first minimum; the dummy is last
+        if choice < b - a - 1:
+            labels[u] = slot_labels[a + choice]
+            r = run[a + choice]
+            buffer[owner_cells[bounds[r]:bounds[r + 1] - 1]] = np.inf
+        lo, hi = push[u], push[u + 1]
+        column = table[base[lo:hi] + choice * step[lo:hi]]
+        if repar is not None:
+            column = column + msg_u[lo:hi] + repar.edge_flat[msg_v[lo:hi] + choice]
+        buffer[dest[lo:hi]] = column
+        for v in nbr_nodes[nbr_start[u]:nbr_start[u + 1]]:
+            if not seen[v]:
+                seen[v] = True
+                insort(frontier, v)
 
-        choice = int(np.argmin(totals))  # the first minimum; the dummy is last
-        labels[u] = problem.slot_labels[a + choice]
-        if choice < k:
-            used[labels[u]] = True
-        local[u] = choice
-        assigned[u] = True
-        frontier[u] = False
-        frontier[nbrs[~assigned[nbrs]]] = True
-
-    return labels
+    return np.array(labels, dtype=np.int64)

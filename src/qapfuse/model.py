@@ -66,8 +66,15 @@ class Problem:
     ``edge_cols[e]`` columns.  Its u-side and v-side message blocks start
     at ``msg_start[e]`` in the reparametrization's ``edge_flat``.  Node u's
     neighbours, ascending, are ``nbr_nodes[nbr_start[u]:nbr_start[u + 1]]``
-    with their edges in ``nbr_edges``.  The instance is safe to share
-    across threads after construction.
+    with their edges in ``nbr_edges``.
+
+    Greedy's buffer gives node u the cells ``block_start[u]:block_start[u +
+    1]``, as rows ``k_u + 1`` wide: its unary row, a block per neighbour in
+    ``nbr_nodes`` order, and a blocked row.  Node v's pushes are the entries
+    ``push_start[v]:push_start[v + 1]``: when v takes local label t, entry i
+    writes table cell ``push_table[i] + t * push_step[i]`` + ``edge_flat[
+    push_msg_u[i]]`` + ``edge_flat[push_msg_v[i] + t]`` to buffer cell
+    ``push_dest[i]``.  The instance is safe to share across threads.
     """
 
     def __init__(self, num_nodes, num_labels, candidate_labels, unary, pairwise=None):
@@ -128,6 +135,24 @@ class Problem:
         self.nbr_nodes = other[order]
         self.nbr_edges = np.tile(np.arange(len(self.edges)), 2)[order]
         self.nbr_start = np.concatenate(([0], np.cumsum(np.bincount(own, minlength=n))))
+
+        # Entry c (node v, neighbour u, edge e) pushes to row 1 + back[c] -
+        # nbr_start[u], where back[c] is u's entry for v, one cell per slot j.
+        back = np.argsort(order).reshape(2, -1)[::-1].ravel()[order]
+        u, e = self.nbr_nodes, self.nbr_edges
+        width = size[u]
+        entry = np.repeat(np.arange(u.size), width)
+        j = np.arange(entry.size) - (np.cumsum(width) - width)[entry]
+        self.block_start = np.concatenate(([0], np.cumsum((np.diff(self.nbr_start) + 2) * size)))
+        self.push_start = np.concatenate(([0], np.cumsum(width)))[self.nbr_start]
+        self.push_dest = (self.block_start[u] + (back - self.nbr_start[u] + 1) * width)[entry] + j
+        rows = u < own[order]  # u's labels index the table's rows
+        cols = self.edge_cols[e]
+        self.push_table = self.edge_start[e][entry] + j * np.where(rows, cols, 1)[entry]
+        self.push_step = np.where(rows, 1, cols)[entry]
+        ends = np.where(rows[:, None], self.msg_start[e], self.msg_start[e][:, ::-1])
+        self.push_msg_u = ends[entry, 0] + j
+        self.push_msg_v = ends[entry, 1]
 
         # label_slots lists each owned label's owner slots in slot order and
         # then the sentinel slot len(slot_labels), the zero-cost dummy node;

@@ -154,11 +154,7 @@ def fuse_sequence(problem, proposals, mode="qpbo-i", rng=0):
         raise ValueError("need at least one proposal")
     rng = np.random.default_rng(rng)
 
-    incumbent = None
-    for x in proposals:
-        if is_feasible(problem, x):
-            incumbent = x.copy()
-            break
+    incumbent = next((x.copy() for x in proposals if is_feasible(problem, x)), None)
     if incumbent is None:
         incumbent = all_dummy(problem)
 

@@ -7,8 +7,10 @@ from helpers import (
     candidates,
     greedy_by_loops,
     neighbors,
+    pairwise_tables,
     random_problem,
     random_reparametrization,
+    scaled_problem,
 )
 
 from test_dualbca import aligned_chain_problem
@@ -160,3 +162,77 @@ def test_matches_loop_reference():
                 assert np.array_equal(qf.greedy_assignment(p, seed, repar),
                                       greedy_by_loops(p, seed, repar))
     assert all(seen.values()), seen
+
+
+def assert_matches_loops(p, rng, seeds=range(3), message_scale=3.0):
+    """Greedy equals the plain-loop greedy on the original costs, after a
+    few sweeps and on random messages."""
+    st = qf.DualState.initial(p)
+    for _ in range(3):
+        qf.sweep(p, st)
+    for repar in (None, st.repar, random_reparametrization(p, rng, scale=message_scale)):
+        for seed in seeds:
+            assert np.array_equal(qf.greedy_assignment(p, seed, repar),
+                                  greedy_by_loops(p, seed, repar))
+
+
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**40], ids=["2^-40", "2^40"])
+def test_matches_loop_reference_at_extreme_scales(scale):
+    rng = np.random.default_rng(92)
+    for trial in range(20):
+        p = random_problem(rng, max_nodes=9, max_labels=6, integer=trial % 2 == 0,
+                           edge_prob=0.5)
+        assert_matches_loops(scaled_problem(p, scale), rng, message_scale=3.0 * scale)
+
+
+def mixed_magnitudes(rng, shape):
+    """Costs from {-2^53, 2^53, -3, ..., 3}: a sum of them depends on the
+    order of its terms."""
+    return rng.choice([-2.0**53, 2.0**53, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], size=shape)
+
+
+def test_hub_sums_its_neighbours_in_ascending_order():
+    # Node 0 neighbours every other node, and its tables mix magnitudes so
+    # that adding its neighbours' columns in another order picks other
+    # labels; nodes 1..9 also form a path.
+    rng = np.random.default_rng(93)
+    n, labels = 10, 6
+    for _ in range(20):
+        cand = [sorted(rng.choice(labels, size=int(rng.integers(2, labels + 1)),
+                                  replace=False).tolist()) for _ in range(n)]
+        shape = [len(c) + 1 for c in cand]
+        edges = [(0, v) for v in range(1, n)] + [(v, v + 1) for v in range(1, n - 1)]
+        p = qf.Problem(n, labels, cand, [mixed_magnitudes(rng, k) for k in shape],
+                       {(u, v): mixed_magnitudes(rng, (shape[u], shape[v])) for u, v in edges})
+        assert len(neighbors(p)[0]) >= 8
+        assert_matches_loops(p, rng, seeds=range(10))
+
+
+def test_node_left_only_its_costly_dummy():
+    # Four nodes want the same two labels, and their dummies cost far
+    # more than any label: the two visited last must still take the dummy.
+    rng = np.random.default_rng(94)
+    for _ in range(10):
+        unary = [np.append(rng.integers(-9, 0, size=2).astype(float), 1e6) for _ in range(4)]
+        tables = {(u, v): rng.integers(-3, 4, size=(3, 3)).astype(float)
+                  for u in range(4) for v in range(u + 1, 4) if rng.random() < 0.7}
+        p = qf.Problem(4, 2, [[0, 1]] * 4, unary, tables)
+        for seed in range(10):
+            x = qf.greedy_assignment(p, seed)
+            assert sorted(x.tolist()) == [qf.DUMMY, qf.DUMMY, 0, 1]
+        assert_matches_loops(p, rng)
+
+
+def test_ties_between_signed_zeros():
+    # Every cost is -0.0, 0.0 or 1.0, so totals tie between zeros of both
+    # signs; the first minimum wins whatever the signs.
+    rng = np.random.default_rng(95)
+    for _ in range(30):
+        p = random_problem(rng, max_nodes=8, max_labels=5, edge_prob=0.5)
+        n = p.num_nodes
+        p = qf.Problem(n, p.num_labels, [candidates(p, u) for u in range(n)],
+                       [rng.choice([-0.0, 0.0, 1.0], size=len(candidates(p, u)) + 1)
+                        for u in range(n)],
+                       {(u, v): rng.choice([-0.0, 0.0, 1.0], size=table.shape)
+                        for (u, v), table in pairwise_tables(p).items()})
+        assert_matches_loops(p, rng, message_scale=0.0)

@@ -1,0 +1,44 @@
+"""Byte-identical traces on the benchmark's own instances.
+
+A change that claims to keep the solver's results must leave these sha256
+pins alone; a change that means to move them re-pins them and says why.
+The instances come from ``benchmarks/instances.py``, imported read-only.
+"""
+
+import functools
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import qapfuse as qf
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+import instances  # noqa: E402
+
+FAMILY_SEED, RELABEL_SEED, SOLVER_SEED = 0, 1, 0
+
+
+@functools.cache
+def load(family):
+    """The benchmark's instance of ``family``, loaded as the harness loads it."""
+    make = instances.knn_instance if family == "knn" else instances.dense_instance
+    inst, _ = instances.relabel(make(FAMILY_SEED), RELABEL_SEED)
+    return qf.to_problem(qf.parse_dd(inst.dd_text()))
+
+
+@pytest.mark.parametrize("family, config, digest", [
+    ("knn", dict(max_batches=20),
+     "7eca72059ec57e7be46246b121450ad31f3ffa7df1683b7ac7984bec7eb300e2"),
+    ("dense", dict(max_batches=30, primal_heuristic="lap"),
+     "58441e902a17d7ab6dff2a5a8f8934db83daf5193d82d5bc2b53cd5f80938ec2"),
+    ("knn", dict(max_batches=20, greedy_generations=3),
+     "3713b3043b393defad7a258be2a2d7ede5ebd6fb50ec2091e6fa0ea2e811d632"),
+], ids=["knn300-greedy", "dense30-lap", "knn300-greedy-3-generations"])
+def test_benchmark_trace_sha256(family, config, digest):
+    buffer = io.StringIO()
+    qf.write_trace(qf.solve(load(family), qf.SolverConfig(seed=SOLVER_SEED, **config)).trace,
+                   buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
