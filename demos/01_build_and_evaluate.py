@@ -48,7 +48,7 @@ local = slots - problem.offsets[:-1]
 sides = matching_side(problem, repar) + qf.assignment_side(problem, repar)
 decomposed = float(sides[slots].sum())
 for e, (u, v) in enumerate(problem.edges):
-    cell = problem.edge_start[e] + local[u] * problem.edge_cols[e] + local[v]
+    cell = problem.edge_start[e] + local[u] + local[v] * problem.edge_stride[e]
     mu, mv = problem.msg_start[e]
     decomposed += float(problem.table_buffer[cell] + repar.edge_flat[mu + local[u]]
                         + repar.edge_flat[mv + local[v]])

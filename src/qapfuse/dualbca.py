@@ -12,7 +12,10 @@ variables:
   of one level: both endpoint unaries are pushed into the edge table, then
   the table's row/column minima are redistributed back half-and-half.
   Being an exact block maximization, it can never lower the bound.  A
-  level's edges share no node, so they update as one batch.
+  level's edges share no node, so they update as one batch.  The batch is
+  read column by column, as :class:`qapfuse.model.Problem` stores it, so
+  each row minimum reduces over the leading axis: numpy reduces a short
+  trailing axis of a small stack several times slower.
 * :func:`update_node_messages` equalizes each node's matching-side unaries
   at the midpoint of its two smallest values, shifting the differences
   into the assignment side.  The dummy entry is never modified.
@@ -87,13 +90,17 @@ def update_edge_messages(problem, repar, level):
         iu = u_slot[:, None] + np.arange(table.shape[1])
         iv = v_slot[:, None] + np.arange(table.shape[2])
 
+        by_col = table.transpose(2, 0, 1)
         msg_u = old_u + side[iu]
         msg_v = old_v + side[iv]
-        adjusted = table + msg_u[:, :, None] + msg_v[:, None, :]
-        msg_u = msg_u - 0.5 * adjusted.min(axis=2)
-        msg_v = -(table + msg_u[:, :, None]).min(axis=1)
-        adjusted = table + msg_u[:, :, None] + msg_v[:, None, :]
-        msg_u = msg_u - adjusted.min(axis=2)
+        adjusted = by_col + msg_u
+        adjusted += msg_v.T[:, :, None]
+        msg_u -= 0.5 * adjusted.min(axis=0)
+        np.add(by_col, msg_u, out=adjusted)
+        # A transposed copy reduced over its leading axis beats min(axis=2).
+        msg_v = -np.ascontiguousarray(adjusted.transpose(2, 1, 0)).min(axis=0)
+        adjusted += msg_v.T[:, :, None]
+        msg_u -= adjusted.min(axis=0)
 
         repar.msg_sums[iu] += msg_u - old_u
         repar.msg_sums[iv] += msg_v - old_v

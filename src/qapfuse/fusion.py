@@ -105,7 +105,7 @@ def build_fusion(problem, x1, x2):
     lu, lv = local[:, u], local[:, v]
 
     def cells(e, row, col):
-        return problem.table_buffer[problem.edge_start[e] + row * problem.edge_cols[e] + col]
+        return problem.table_buffer[problem.edge_start[e] + row + col * problem.edge_stride[e]]
 
     fu, fv = free[u], free[v]
     inner = np.flatnonzero(~fu & ~fv)         # edges between folded nodes

@@ -61,12 +61,14 @@ class Problem:
     the largest level of earlier edges touching u or v, so a level's edges
     share no node and running the levels in order equals the lexicographic
     edge loop.  ``table_buffer`` holds every table, read-only, in (level,
-    shape) order; ``batches[level]`` cuts it into zero-copy ``(G, a, b)``
-    stacks, and edge e's table starts at ``edge_start[e]`` with
-    ``edge_cols[e]`` columns.  Its u-side and v-side message blocks start
-    at ``msg_start[e]`` in the reparametrization's ``edge_flat``.  Node u's
-    neighbours, ascending, are ``nbr_nodes[nbr_start[u]:nbr_start[u + 1]]``
-    with their edges in ``nbr_edges``.
+    shape) order, a run of G tables of shape (a, b) column by column as one
+    C-contiguous (b, G, a) block: cell (i, j) of edge e is at ``edge_start[e]
+    + i + j * edge_stride[e]``, with ``edge_stride[e]`` = G a.
+    ``batches[level]`` views each block as a zero-copy ``(G, a, b)`` stack.
+    Edge e's u-side and v-side message blocks start at ``msg_start[e]`` in
+    the reparametrization's ``edge_flat``.  Node u's neighbours, ascending,
+    are ``nbr_nodes[nbr_start[u]:nbr_start[u + 1]]`` with their edges in
+    ``nbr_edges``.
 
     Greedy's buffer gives node u the cells ``block_start[u]:block_start[u +
     1]``, as rows ``k_u + 1`` wide: its unary row, a block per neighbour in
@@ -147,9 +149,9 @@ class Problem:
         self.push_start = np.concatenate(([0], np.cumsum(width)))[self.nbr_start]
         self.push_dest = (self.block_start[u] + (back - self.nbr_start[u] + 1) * width)[entry] + j
         rows = u < own[order]  # u's labels index the table's rows
-        cols = self.edge_cols[e]
-        self.push_table = self.edge_start[e][entry] + j * np.where(rows, cols, 1)[entry]
-        self.push_step = np.where(rows, 1, cols)[entry]
+        stride = self.edge_stride[e]
+        self.push_table = self.edge_start[e][entry] + j * np.where(rows, 1, stride)[entry]
+        self.push_step = np.where(rows, stride, 1)[entry]
         ends = np.where(rows[:, None], self.msg_start[e], self.msg_start[e][:, ::-1])
         self.push_msg_u = ends[entry, 0] + j
         self.push_msg_v = ends[entry, 1]
@@ -172,39 +174,43 @@ class Problem:
 
     def _build_tables(self, tables, level):
         """Lay the float64 tables out in the read-only table buffer in
-        (level, shape) order, and build the per-level batches and per-edge
-        indices that address it."""
+        (level, shape) order, each run column by column, and build the
+        per-level batches and per-edge indices that address it."""
         shape = [t.shape for t in tables]
         order = sorted(range(len(tables)), key=lambda e: (level[e], shape[e], e))
-        start = np.cumsum([0] + [tables[e].size for e in order]).tolist()
-        self.table_buffer = np.concatenate([tables[e].ravel() for e in order] or [np.zeros(0)])
-        self.table_buffer.flags.writeable = False
-
-        # edge_rank[e]: position of edge e in buffer order; edge_start and
-        # edge_cols address its table inside the buffer.
-        self.edge_rank = np.empty(len(order), dtype=np.int64)
-        self.edge_rank[order] = np.arange(len(order))
-        self.edge_start = np.array(start[:-1], dtype=np.int64)[self.edge_rank]
-        self.edge_cols = np.array([b for _, b in shape], dtype=np.int64)
+        self.table_buffer = np.empty(sum(t.size for t in tables))
         self.edge_nodes = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
 
+        # edge_rank[e]: position of edge e in buffer order.  Cell (i, j) of
+        # edge e is table_buffer[edge_start[e] + i + j * edge_stride[e]].
+        self.edge_rank = np.empty(len(order), dtype=np.int64)
+        self.edge_rank[order] = np.arange(len(order))
+        self.edge_start = np.empty(len(order), dtype=np.int64)
+        self.edge_stride = np.empty(len(order), dtype=np.int64)
+
         # One batch per level, one entry per table shape in it: the (G, a, b)
-        # tables, the first slots of the u and v endpoints, and the offsets
-        # of the (G, a) u-side and (G, b) v-side message blocks.
+        # tables, a view of a C-contiguous (b, G, a) block, the first slots of
+        # the u and v endpoints, and the offsets of the (G, a) u-side and
+        # (G, b) v-side message blocks.
         self.batches = [[] for _ in range(max(level, default=-1) + 1)]
         self.msg_start = np.empty((len(order), 2), dtype=np.int64)
-        msg = pos = 0
+        msg = cell = 0
         for (lev, (a, b)), run in itertools.groupby(order, key=lambda e: (level[e], shape[e])):
             run = list(run)
             g = len(run)
+            block = self.table_buffer[cell:cell + g * a * b].reshape(b, g, a)
+            np.concatenate([tables[e].T for e in run], axis=1, out=block.reshape(b, g * a))
+            block.flags.writeable = False
             ends = self.edge_nodes[run]
-            self.batches[lev].append(
-                (self.table_buffer[start[pos]:start[pos + g]].reshape(g, a, b),
-                 self.offsets[ends[:, 0]], self.offsets[ends[:, 1]], msg, msg + g * a))
+            self.batches[lev].append((block.transpose(1, 2, 0), self.offsets[ends[:, 0]],
+                                      self.offsets[ends[:, 1]], msg, msg + g * a))
+            self.edge_start[run] = cell + a * np.arange(g)
+            self.edge_stride[run] = g * a
             self.msg_start[run, 0] = msg + a * np.arange(g)
             self.msg_start[run, 1] = msg + g * a + b * np.arange(g)
             msg += g * (a + b)
-            pos += g
+            cell += g * a * b
+        self.table_buffer.flags.writeable = False
         self.msg_size = msg
 
     def slots(self, x):
@@ -249,7 +255,7 @@ def energy(problem, x):
     slots = problem.slots(x)
     local = slots - problem.offsets[:-1]
     u, v = problem.edge_nodes.T
-    pair = problem.table_buffer[problem.edge_start + local[u] * problem.edge_cols + local[v]]
+    pair = problem.table_buffer[problem.edge_start + local[u] + local[v] * problem.edge_stride]
     return sequential_sum(np.concatenate((problem.unary_flat[slots], pair)))
 
 

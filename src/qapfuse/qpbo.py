@@ -22,7 +22,6 @@ capacity, so scaling every cost by a power of two leaves the labels
 unchanged.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,66 +51,51 @@ class MaxFlow:
         ends = np.cumsum(np.bincount(leaves, minlength=num_nodes)).tolist()
         self.head = [order[a:b] for a, b in zip([0] + ends, ends)]
 
-    def _levels(self, source):
-        """Each node's BFS depth from the source in the residual network,
-        or -1 where the source cannot reach it."""
-        level = [-1] * len(self.head)
-        level[source] = 0
-        queue = deque([source])
-        while queue:
-            a = queue.popleft()
-            for arc in self.head[a]:
-                b = self.to[arc]
-                if level[b] < 0 and self.cap[arc] > self.eps:
-                    level[b] = level[a] + 1
-                    queue.append(b)
-        return level
-
-    def _augment(self, source, sink, level, cursor):
-        # Iterative DFS in the level graph; returns one augmentation.
-        path = []
-        a = source
-        while True:
-            if a == sink:
-                bottleneck = min(self.cap[arc] for arc in path)
-                for arc in path:
-                    self.cap[arc] -= bottleneck
-                    self.cap[arc ^ 1] += bottleneck
-                return bottleneck
-            arcs = self.head[a]
-            advanced = False
-            while cursor[a] < len(arcs):
-                arc = arcs[cursor[a]]
-                b = self.to[arc]
-                if self.cap[arc] > self.eps and level[b] == level[a] + 1:
-                    path.append(arc)
-                    a = b
-                    advanced = True
-                    break
-                cursor[a] += 1
-            if advanced:
-                continue
-            if not path:
-                return 0.0
-            # dead end: retreat and skip the arc that led here
-            arc = path.pop()
-            a = self.to[arc ^ 1]
-            cursor[a] += 1
-
     def max_flow(self, source, sink):
         """The maximum flow value, and which nodes the source still reaches
         in the residual network (the source side of the minimal min-cut)."""
+        to, cap, eps, head = self.to, self.cap, self.eps, self.head
         total = 0.0
         while True:
-            level = self._levels(source)
+            # Each node's BFS depth from the source, -1 where unreached.
+            level = [-1] * len(head)
+            level[source] = 0
+            queue = [source]
+            for a in queue:
+                depth = level[a] + 1
+                for arc in head[a]:
+                    b = to[arc]
+                    if level[b] < 0 and cap[arc] > eps:
+                        level[b] = depth
+                        queue.append(b)
             if level[sink] < 0:
                 return total, np.array(level) >= 0
-            cursor = [0] * len(self.head)
+            # Iterative DFS in the level graph: advance along the first
+            # usable arc at each node's cursor, augment at the sink, and on
+            # a dead end retreat and skip the arc that led there.
+            cursor = [0] * len(head)
+            path, a = [], source
             while True:
-                pushed = self._augment(source, sink, level, cursor)
-                if pushed <= 0.0:
+                if a == sink:
+                    bottleneck = min(cap[arc] for arc in path)
+                    for arc in path:
+                        cap[arc] -= bottleneck
+                        cap[arc ^ 1] += bottleneck
+                    total += bottleneck
+                    path, a = [], source
+                    continue
+                arcs, c, depth = head[a], cursor[a], level[a] + 1
+                while c < len(arcs) and not (cap[arcs[c]] > eps and level[to[arcs[c]]] == depth):
+                    c += 1
+                cursor[a] = c
+                if c < len(arcs):
+                    path.append(arcs[c])
+                    a = to[arcs[c]]
+                elif path:
+                    a = to[path.pop() ^ 1]
+                    cursor[a] += 1
+                else:
                     break
-                total += pushed
 
 
 @dataclass

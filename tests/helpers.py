@@ -5,8 +5,8 @@ The oracles deliberately re-walk the raw problem data with plain Python
 loops so they share no code path with the library routines they check.
 They read a Problem only through the accessors below, which take its flat
 arrays (``slot_labels``, ``offsets``, ``unary_flat``, ``edges``,
-``edge_start``, ``edge_cols``, ``table_buffer``, and ``msg_start`` for the
-edge messages) entry by entry.
+``edge_start``, ``edge_stride``, ``table_buffer``, and ``msg_start`` for
+the edge messages) entry by entry.
 """
 
 import itertools
@@ -44,8 +44,8 @@ def edge_index(problem, u, v):
 
 def table_cell(problem, e, i, j):
     """Entry (i, j) of edge e's table: row i of its first node's slots,
-    column j of its second's."""
-    return float(problem.table_buffer[problem.edge_start[e] + i * problem.edge_cols[e] + j])
+    column j of its second's.  Tables are stored column by column."""
+    return float(problem.table_buffer[problem.edge_start[e] + i + j * problem.edge_stride[e]])
 
 
 def edge_table(problem, e):
@@ -605,7 +605,7 @@ def problem_by_dicts(n_left, n_right, assignments, pairwise):
 
 
 PROBLEM_ARRAYS = ("table_buffer", "unary_flat", "slot_labels", "offsets", "edges",
-                  "edge_start", "edge_cols", "msg_start", "nbr_nodes")
+                  "edge_start", "edge_stride", "msg_start", "nbr_nodes")
 
 
 def same_problem_bytes(p, q):
