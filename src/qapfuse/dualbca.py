@@ -59,7 +59,9 @@ def dual_bound(problem, repar):
     for batch in problem.batches:
         for table, _, _, mu, mv in batch:
             msg_u, msg_v = repar.batch_messages(table, mu, mv)
-            edge_min.append((table + msg_u[:, :, None] + msg_v[:, None, :]).min(axis=(1, 2)))
+            adjusted = table.transpose(2, 0, 1) + msg_u
+            adjusted += msg_v.T[:, :, None]
+            edge_min.append(adjusted.min(axis=0).min(axis=1))
     node_min = np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1])
     terms = np.concatenate((node_min, np.concatenate(edge_min)[problem.edge_rank]))
     return sequential_sum(terms) + label_min_term(problem, repar)
