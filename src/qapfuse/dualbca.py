@@ -87,10 +87,8 @@ def update_edge_messages(problem, repar, level):
     to u, then full column minima to v, then the remaining row minima to u.
     """
     side = matching_side(problem, repar)
-    for table, u_slot, v_slot, mu, mv in problem.batches[level]:
+    for table, iu, iv, mu, mv in problem.batches[level]:
         old_u, old_v = repar.batch_messages(table, mu, mv)
-        iu = u_slot[:, None] + np.arange(table.shape[1])
-        iv = v_slot[:, None] + np.arange(table.shape[2])
 
         by_col = table.transpose(2, 0, 1)
         msg_u = old_u + side[iu]

@@ -189,9 +189,9 @@ class Problem:
         self.edge_stride = np.empty(len(order), dtype=np.int64)
 
         # One batch per level, one entry per table shape in it: the (G, a, b)
-        # tables, a view of a C-contiguous (b, G, a) block, the first slots of
-        # the u and v endpoints, and the offsets of the (G, a) u-side and
-        # (G, b) v-side message blocks.
+        # tables, a view of a C-contiguous (b, G, a) block, the (G, a) slots
+        # of the u endpoints and the (G, b) slots of the v endpoints, and the
+        # offsets of the (G, a) u-side and (G, b) v-side message blocks.
         self.batches = [[] for _ in range(max(level, default=-1) + 1)]
         self.msg_start = np.empty((len(order), 2), dtype=np.int64)
         msg = cell = 0
@@ -202,8 +202,9 @@ class Problem:
             np.concatenate([tables[e].T for e in run], axis=1, out=block.reshape(b, g * a))
             block.flags.writeable = False
             ends = self.edge_nodes[run]
-            self.batches[lev].append((block.transpose(1, 2, 0), self.offsets[ends[:, 0]],
-                                      self.offsets[ends[:, 1]], msg, msg + g * a))
+            self.batches[lev].append((block.transpose(1, 2, 0),
+                                      self.offsets[ends[:, :1]] + np.arange(a),
+                                      self.offsets[ends[:, 1:]] + np.arange(b), msg, msg + g * a))
             self.edge_start[run] = cell + a * np.arange(g)
             self.edge_stride[run] = g * a
             self.msg_start[run, 0] = msg + a * np.arange(g)

@@ -13,15 +13,21 @@ a lower bound on the binary minimum (tight when everything is submodular),
 and variables whose copy and anti-copy end up on opposite cut sides carry
 persistent labels: some optimal labeling agrees with all of them at once.
 
-Max-flow is Dinic's level-graph augmenting-path scheme over a network
-given as arc arrays (``tails``, ``heads``, ``capacities``), built in one
-step.  It returns the flow value together with the nodes its last BFS
-reached, the source side of the minimal minimum cut.  An arc counts as
+Max-flow grows Boykov and Kolmogorov's two search trees (PAMI 2004) over
+a network given as arc arrays (``tails``, ``heads``, ``capacities``),
+after a pre-push that sends what it can along every path source -> a ->
+b -> sink; on roof duality's networks such paths are more than half of
+the augmenting paths.  The labels read the minimal minimum cut: the nodes the
+source reaches in the residual network of a maximum flow.  That set is
+the same for every maximum flow (Kolmogorov and Rother, PAMI 2007), so the
+labels do not depend on which flow the algorithm finds; ``max_flow`` takes
+it from one final residual search, not from its trees.  An arc counts as
 saturated when its residual is at most 1e-12 of the network's largest
 capacity, so scaling every cost by a power of two leaves the labels
 unchanged.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +38,17 @@ _EPS = 1e-12
 
 
 class MaxFlow:
-    """Dinic's level-graph scheme (repeated BFS layering plus DFS blocking
-    flows) on paired arcs: the i-th arc of positive capacity becomes arc 2i
-    (tail -> head) and its reverse arc 2i + 1, and each node lists the arcs
-    leaving it in arc order."""
+    """Boykov-Kolmogorov search trees on paired arcs: the i-th arc of
+    positive capacity becomes arc 2i (tail -> head) and its reverse arc
+    2i + 1, and each node lists the arcs leaving it in arc order.
+
+    ``max_flow`` first pre-pushes, in arc order, the smallest residual of
+    source -> a, a -> b and b -> sink for every arc (a, b) between inner
+    nodes.  Then a source tree and a sink tree grow over residual arcs;
+    an arc from one to the other closes a path, which is augmented by its
+    bottleneck.  A tree arc that saturates orphans its child, which adopts
+    a same-tree neighbour still rooted at the terminal, or else goes free
+    and orphans its own children.  The residual network is ``cap``."""
 
     def __init__(self, num_nodes, tails, heads, capacities):
         capacities = np.asarray(capacities, dtype=np.float64)
@@ -54,48 +67,132 @@ class MaxFlow:
     def max_flow(self, source, sink):
         """The maximum flow value, and which nodes the source still reaches
         in the residual network (the source side of the minimal min-cut)."""
+        n = len(self.head)
+        for name, node in (("source", source), ("sink", sink)):
+            if not 0 <= node < n:
+                raise ValueError(f"{name} {node} is not a node of a {n}-node network")
+        if source == sink:
+            raise ValueError(f"source and sink are the same node {source}")
         to, cap, eps, head = self.to, self.cap, self.eps, self.head
         total = 0.0
-        while True:
-            # Each node's BFS depth from the source, -1 where unreached.
-            level = [-1] * len(head)
-            level[source] = 0
-            queue = [source]
-            for a in queue:
-                depth = level[a] + 1
-                for arc in head[a]:
+
+        # Pre-push source -> a -> b -> sink along every inner arc (a, b),
+        # with one residual source arc into a and one sink arc out of b.
+        into, out = [-1] * n, [-1] * n
+        for arc in head[source]:
+            if cap[arc] > eps:
+                into[to[arc]] = arc
+        for arc in head[sink]:
+            if cap[arc ^ 1] > eps:
+                out[to[arc]] = arc ^ 1
+        into[source] = into[sink] = out[source] = out[sink] = -1
+        for arc in range(0, len(to), 2):
+            first, last = into[to[arc + 1]], out[to[arc]]
+            if first >= 0 and last >= 0:
+                push = min(cap[first], cap[arc], cap[last])
+                if push > eps:
+                    for x in (first, arc, last):
+                        cap[x] -= push
+                        cap[x ^ 1] += push
+                    total += push
+
+        # Search trees: tree[v] is 1 (source tree), -1 (sink tree) or 0
+        # (free); parent[v] is the arc from v to its parent, -1 at a root
+        # and -2 for an orphan.  Flow runs along parent ^ 1 in the source
+        # tree and along parent in the sink tree.
+        tree, parent, active = [0] * n, [-1] * n, [False] * n
+        tree[source], tree[sink] = 1, -1
+        active[source] = active[sink] = True
+        queue = deque((source, sink))
+        mark, stamp = [0] * n, 0  # mark[v] == stamp: v checked rooted in this augmentation
+        while queue:
+            a = queue[0]
+            side, meet = tree[a], -1
+            flip = side < 0  # the sink tree grows along arcs into a
+            for arc in head[a] if side else ():  # a free node grows nothing
+                if cap[arc ^ flip] > eps:
                     b = to[arc]
-                    if level[b] < 0 and cap[arc] > eps:
-                        level[b] = depth
-                        queue.append(b)
-            if level[sink] < 0:
-                return total, np.array(level) >= 0
-            # Iterative DFS in the level graph: advance along the first
-            # usable arc at each node's cursor, augment at the sink, and on
-            # a dead end retreat and skip the arc that led there.
-            cursor = [0] * len(head)
-            path, a = [], source
-            while True:
-                if a == sink:
-                    bottleneck = min(cap[arc] for arc in path)
-                    for arc in path:
-                        cap[arc] -= bottleneck
-                        cap[arc ^ 1] += bottleneck
-                    total += bottleneck
-                    path, a = [], source
-                    continue
-                arcs, c, depth = head[a], cursor[a], level[a] + 1
-                while c < len(arcs) and not (cap[arcs[c]] > eps and level[to[arcs[c]]] == depth):
-                    c += 1
-                cursor[a] = c
-                if c < len(arcs):
-                    path.append(arcs[c])
-                    a = to[arcs[c]]
-                elif path:
-                    a = to[path.pop() ^ 1]
-                    cursor[a] += 1
+                    if not tree[b]:
+                        tree[b], parent[b] = side, arc ^ 1
+                        if not active[b]:
+                            active[b] = True
+                            queue.append(b)
+                    elif tree[b] != side:
+                        meet = arc ^ flip
+                        break
+            if meet < 0:
+                queue.popleft()
+                active[a] = False
+                continue
+
+            # Augment source ~> to[meet ^ 1] -> to[meet] ~> sink by its
+            # bottleneck; a tree arc left saturated orphans its child.
+            stamp += 1
+            sides = ((to[meet ^ 1], source, 1), (to[meet], sink, 0))
+            bottleneck = cap[meet]
+            for v, root, flip in sides:
+                while v != root:
+                    if cap[parent[v] ^ flip] < bottleneck:
+                        bottleneck = cap[parent[v] ^ flip]
+                    v = to[parent[v]]
+            cap[meet] -= bottleneck
+            cap[meet ^ 1] += bottleneck
+            total += bottleneck
+            orphans = []
+            for v, root, flip in sides:
+                while v != root:
+                    arc = parent[v] ^ flip  # the arc that carries the flow
+                    cap[arc] -= bottleneck
+                    cap[arc ^ 1] += bottleneck
+                    if cap[arc] <= eps:
+                        parent[v] = -2
+                        orphans.append(v)
+                    v = to[arc ^ flip]
+
+            # Adoption: an orphan takes the first same-tree neighbour with a
+            # residual arc to it whose parent chain reaches the root, walked
+            # up to the first node already checked in this augmentation.
+            for o in orphans:
+                side = tree[o]
+                for arc in head[o]:
+                    b = to[arc]
+                    if tree[b] != side or cap[arc ^ (side > 0)] <= eps:
+                        continue
+                    v = b
+                    while mark[v] != stamp and parent[v] >= 0:
+                        v = to[parent[v]]
+                    if mark[v] == stamp or parent[v] == -1:
+                        while b != v:
+                            mark[b] = stamp
+                            b = to[parent[b]]
+                        mark[v] = mark[o] = stamp
+                        parent[o] = arc
+                        break
                 else:
-                    break
+                    # No parent: o goes free, its children become orphans
+                    # and its neighbours with a residual arc to it regrow.
+                    for arc in head[o]:
+                        b = to[arc]
+                        if tree[b] != side:
+                            continue
+                        if parent[b] >= 0 and to[parent[b]] == o:
+                            parent[b] = -2
+                            orphans.append(b)
+                        if cap[arc ^ (side > 0)] > eps and not active[b]:
+                            active[b] = True
+                            queue.append(b)
+                    tree[o] = 0
+
+        # The source side of the minimal minimum cut.
+        reached = [False] * n
+        reached[source] = True
+        queue = [source]
+        for a in queue:
+            for arc in head[a]:
+                if cap[arc] > eps and not reached[to[arc]]:
+                    reached[to[arc]] = True
+                    queue.append(to[arc])
+        return total, np.array(reached)
 
 
 @dataclass

@@ -393,7 +393,8 @@ class ReferenceAscent:
 class TestLevelScheduledSweep:
     def test_levels_are_node_disjoint_and_respect_edge_order(self):
         # Each batch entry's edges are found by their u-side message block;
-        # the entry's tables, endpoint slots and v-side blocks must be theirs.
+        # the entry's tables, endpoint slot indices and v-side blocks must
+        # be theirs.
         rng = np.random.default_rng(70)
         for _ in range(30):
             p = random_problem(rng, max_nodes=9, edge_prob=0.5)
@@ -401,7 +402,7 @@ class TestLevelScheduledSweep:
             levels = []
             for batch in p.batches:
                 level = []
-                for table, u_slot, v_slot, mu, mv in batch:
+                for table, iu, iv, mu, mv in batch:
                     g, a, b = table.shape
                     assert table.transpose(2, 0, 1).flags.c_contiguous
                     assert np.shares_memory(table, p.table_buffer)
@@ -410,7 +411,8 @@ class TestLevelScheduledSweep:
                     for i, e in enumerate(run):
                         u, v = p.edges[e]
                         assert np.array_equal(table[i], edge_table(p, e))
-                        assert (u_slot[i], v_slot[i]) == (p.offsets[u], p.offsets[v])
+                        assert np.array_equal(iu[i], np.arange(p.offsets[u], p.offsets[u + 1]))
+                        assert np.array_equal(iv[i], np.arange(p.offsets[v], p.offsets[v + 1]))
                         assert p.msg_start[e][1] == mv + b * i
                     level += [p.edges[e] for e in run]
                 levels.append(level)

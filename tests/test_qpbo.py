@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse import csr_array
@@ -69,6 +71,86 @@ def test_maxflow_matches_scipy_on_integer_networks():
                                           return_predecessors=False)] = True
         assert flow == expected.flow_value
         assert np.array_equal(reached, scipy_reached)
+
+
+def test_maxflow_matches_scipy_on_roof_duality_networks(monkeypatch):
+    # The doubled networks of 20-30 variable problems grow deep search
+    # trees whose nodes go free and must be regrown from their neighbours,
+    # which small random networks seldom need.  Integer costs make every
+    # capacity a multiple of 1/2, so doubled they are exact int32s.
+    networks = []
+
+    class Recorded(qf.MaxFlow):
+        def __init__(self, *args):
+            networks.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(qf.qpbo, "MaxFlow", Recorded)
+    rng = np.random.default_rng(37)
+    for _ in range(120):
+        k = int(rng.integers(20, 31))
+        i, j = np.triu_indices(k, 1)
+        keep = rng.random(i.size) < rng.uniform(0.2, 0.8)
+        tables = rng.integers(-20, 21, (int(keep.sum()), 2, 2)).astype(float)
+        qf.roof_duality(rng.integers(-20, 21, (k, 2)).astype(float),
+                        np.stack((i[keep], j[keep]), 1), tables)
+
+    for n, tails, heads, capacities in networks:
+        flow, reached = qf.MaxFlow(n, tails, heads, capacities).max_flow(0, 1)
+        arc = capacities > 0  # the arcs MaxFlow keeps; (0, 0) is one of those dropped
+        graph = csr_array(((2 * capacities[arc]).astype(np.int32), (tails[arc], heads[arc])),
+                          shape=(n, n))
+        expected = maximum_flow(graph, 0, 1)
+        residual = graph.toarray() - expected.flow.toarray()
+        scipy_reached = np.zeros(n, dtype=bool)
+        scipy_reached[breadth_first_order(csr_array(residual > 0), 0,
+                                          return_predecessors=False)] = True
+        assert 2 * flow == expected.flow_value
+        assert np.array_equal(reached, scipy_reached)
+
+
+def test_maxflow_matches_cut_enumeration_on_float_networks():
+    # Capacities are integers times 2^-20 at scales 2^-40, 1 and 2^40, so
+    # every push, residual and cut value is exact.  Each network has nodes
+    # with a source arc, a sink arc, both or neither, random arcs anywhere
+    # (with the terminals at random positions), a self-loop, an arc into the
+    # source, an arc out of the sink and a parallel copy of a random arc.
+    # The flow must equal the smallest cut over all 2^(n-2) source sets, and
+    # the nodes it reaches the intersection of the smallest cuts' source sets.
+    rng = np.random.default_rng(31)
+    for scale in (2.0**-40, 1.0, 2.0**40):
+        for _ in range(150):
+            n = int(rng.integers(2, 11))
+            source, sink = (int(v) for v in rng.choice(n, 2, replace=False))
+            inner = np.setdiff1d(np.arange(n), (source, sink))
+            fed, drained = inner[rng.random(inner.size) < 0.7], inner[rng.random(inner.size) < 0.7]
+            m, w = int(rng.integers(0, 3 * n)), rng.integers(0, n, 3)
+            tails = np.concatenate((np.full(fed.size, source), drained, rng.integers(0, n, m),
+                                    [w[0], w[1], sink]))
+            heads = np.concatenate((fed, np.full(drained.size, sink), rng.integers(0, n, m),
+                                    [source, w[1], w[2]]))
+            copy = int(rng.integers(tails.size))
+            tails, heads = np.append(tails, tails[copy]), np.append(heads, heads[copy])
+            capacities = rng.integers(-2**10, 2**20, tails.size) * 2.0**-20 * scale
+            flow, reached = qf.MaxFlow(n, tails, heads, capacities).max_flow(source, sink)
+
+            sides = np.zeros((2 ** inner.size, n), dtype=bool)
+            sides[:, source] = True
+            sides[:, inner] = (np.arange(2 ** inner.size)[:, None] >> np.arange(inner.size)) & 1
+            cut = (sides[:, tails] & ~sides[:, heads]) @ np.maximum(capacities, 0.0)
+            assert flow == cut.min()
+            assert np.array_equal(reached, sides[cut == cut.min()].all(axis=0))
+
+
+@pytest.mark.parametrize("source, sink, message", [
+    (0, 0, "source and sink are the same node 0"),
+    (0, 4, "sink 4 is not a node of a 4-node network"),
+    (-1, 1, "source -1 is not a node of a 4-node network"),
+])
+def test_maxflow_rejects_bad_terminals(source, sink, message):
+    graph = qf.MaxFlow(4, [0, 2, 3], [2, 1, 1], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph.max_flow(source, sink)
 
 
 def test_single_variable_exact():
