@@ -18,18 +18,15 @@ from .model import is_feasible
 from .solver import SolverConfig, fuse_sequence, solve
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _at_least(convert, low, strict=False):
+    """An argparse type: ``convert(text)``, refused below ``low``, and at it
+    too when ``strict``; NaN is refused."""
+    def number(text):
+        value = convert(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}")
+        return value
+    return number
 
 
 def _build_parser():
@@ -40,12 +37,12 @@ def _build_parser():
 
     p_solve = sub.add_parser("solve", help="solve a .dd instance")
     p_solve.add_argument("input", help="path to the .dd instance")
-    p_solve.add_argument("--max-batches", type=_positive_int, default=50000)
-    p_solve.add_argument("--batch-size", type=_positive_int, default=1)
-    p_solve.add_argument("--greedy-generations", type=_positive_int, default=1)
-    p_solve.add_argument("--time-budget", type=_positive_float, default=None,
+    p_solve.add_argument("--max-batches", type=_at_least(int, 1), default=50000)
+    p_solve.add_argument("--batch-size", type=_at_least(int, 1), default=1)
+    p_solve.add_argument("--greedy-generations", type=_at_least(int, 1), default=1)
+    p_solve.add_argument("--time-budget", type=_at_least(float, 0, strict=True), default=None,
                          metavar="SECONDS")
-    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--seed", type=_at_least(int, 0), default=0)
     p_solve.add_argument("--fusion", choices=["qpbo-i", "exact"], default="qpbo-i")
     p_solve.add_argument("--primal", choices=["greedy", "lap"], default="greedy")
     p_solve.add_argument("--trace", default=None, metavar="PATH",
@@ -58,7 +55,7 @@ def _build_parser():
     p_fuse.add_argument("proposals", help="path to the proposal list")
     p_fuse.add_argument("results", help="path for the per-step CSV")
     p_fuse.add_argument("--fusion", choices=["qpbo-i", "exact"], default="qpbo-i")
-    p_fuse.add_argument("--seed", type=int, default=0)
+    p_fuse.add_argument("--seed", type=_at_least(int, 0), default=0)
 
     p_bound = sub.add_parser(
         "bound", help="search-space bound for fusing two assignments")

@@ -33,9 +33,10 @@ A :func:`sweep` runs the edge levels in order, which performs exactly the
 updates of the lexicographic edge loop (see :class:`qapfuse.model.Problem`),
 then the node and label updates, and re-evaluates the bound.  The solver
 makes its proposals between the two phases, through the sweep's ``between``
-hook.
+hook, which may hand the bound its message-adjusted tables to take minima of.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,19 +50,19 @@ from .model import DUMMY, Reparametrization, assignment_side, matching_side, seq
 MONOTONICITY_SLACK = 1e-9
 
 
-def dual_bound(problem, repar):
+def dual_bound(problem, repar, adjusted=None):
     """Lower bound on the optimal energy at the given dual state.
 
     Node minima, then edge minima in ``problem.edges`` order, then the
-    label term are added one at a time, as a per-term loop would.
+    label term are added one at a time, as a per-term loop would.  Edge
+    minima come from ``adjusted``, ``adjusted_tables(problem, repar)``, if given.
     """
-    edge_min = [np.zeros(0)]
-    for batch in problem.batches:
-        for table, _, _, mu, mv in batch:
-            msg_u, msg_v = repar.batch_messages(table, mu, mv)
-            adjusted = table.transpose(2, 0, 1) + msg_u
-            adjusted += msg_v.T[:, :, None]
-            edge_min.append(adjusted.min(axis=0).min(axis=1))
+    edge_min, cell = [np.zeros(0)], 0
+    for table, _, _, mu, mv in itertools.chain.from_iterable(problem.batches):
+        block = (repar.adjusted_block(table, mu, mv) if adjusted is None
+                 else adjusted[cell:cell + table.size].reshape(-1, *table.shape[:2]))
+        cell += table.size
+        edge_min.append(block.min(axis=0).min(axis=1))
     node_min = np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1])
     terms = np.concatenate((node_min, np.concatenate(edge_min)[problem.edge_rank]))
     return sequential_sum(terms) + label_min_term(problem, repar)
@@ -155,20 +156,19 @@ def sweep(problem, state, between=None):
     """One full ascent pass; the bound never decreases across it.
 
     Edge updates run level by level, which equals the lexicographic edge
-    order.  ``between``, if given, is called with no arguments once the
-    edge phase is done and before the node and label updates.
+    order.  ``between()``, if given, runs between the edge phase and the
+    node and label updates; the bound reads the adjusted tables it returns.
     """
     before = state.dual_bound
 
     for level in range(len(problem.batches)):
         update_edge_messages(problem, state.repar, level)
-    if between is not None:
-        between()
+    adjusted = between() if between is not None else None
 
     update_node_messages(problem, state.repar)
     update_label_messages(problem, state.repar)
 
-    state.dual_bound = dual_bound(problem, state.repar)
+    state.dual_bound = dual_bound(problem, state.repar, adjusted)
     state.sweep_counter += 1
 
     slack = MONOTONICITY_SLACK * max(problem.cost_scale, abs(before))

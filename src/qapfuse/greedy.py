@@ -12,7 +12,7 @@ tables); in the latter case proposals improve as the dual bound does,
 while their quality is still judged by original energy.
 
 Costs are pushed, not pulled (buffer layout in :class:`~qapfuse.model.Problem`):
-assigning a node scatters its table column, plus both messages given a dual
+assigning a node scatters its table column, message-adjusted given a dual
 state, into each neighbour's block for it and sets the blocked-row cells of
 its label's owner slots to inf.  A visit sums its node's rows top to bottom,
 as a loop over assigned neighbours in ascending order adds: a zero block
@@ -27,12 +27,12 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from .model import DUMMY, matching_side
+from .model import DUMMY, adjusted_tables, matching_side
 
 
-def greedy_assignment(problem, rng, repar=None):
+def greedy_assignment(problem, rng, repar=None, adjusted=None):
     """Run the greedy construction on the original costs, or on the costs
-    reparametrized by ``repar`` when it is given.
+    reparametrized by ``repar`` and, if given, its ``adjusted_tables`` in ``adjusted``.
 
     ``rng`` is an int seed or a numpy Generator.  Ties in the label argmin
     go to the lowest label id; the dummy loses every tie against a real
@@ -52,10 +52,9 @@ def greedy_assignment(problem, rng, repar=None):
     run = np.zeros(unary.size + 1, dtype=np.int64)
     run[problem.label_slots] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
-    table, dest = problem.table_buffer, problem.push_dest
-    base, step, msg_v = problem.push_table, problem.push_step, problem.push_msg_v
-    if repar is not None:
-        msg_u = repar.edge_flat[problem.push_msg_u]
+    table = problem.table_buffer if repar is None else adjusted
+    table = adjusted_tables(problem, repar) if table is None else table
+    dest, base, step = problem.push_dest, problem.push_table, problem.push_step
     offsets, blocks, push = offsets.tolist(), blocks.tolist(), problem.push_start.tolist()
     nbr_start, nbr_nodes = problem.nbr_start.tolist(), problem.nbr_nodes.tolist()
     slot_labels, run = problem.slot_labels.tolist(), run.tolist()
@@ -78,10 +77,7 @@ def greedy_assignment(problem, rng, repar=None):
             r = run[a + choice]
             buffer[owner_cells[bounds[r]:bounds[r + 1] - 1]] = np.inf
         lo, hi = push[u], push[u + 1]
-        column = table[base[lo:hi] + choice * step[lo:hi]]
-        if repar is not None:
-            column = column + msg_u[lo:hi] + repar.edge_flat[msg_v[lo:hi] + choice]
-        buffer[dest[lo:hi]] = column
+        buffer[dest[lo:hi]] = table[base[lo:hi] + choice * step[lo:hi]]
         for v in nbr_nodes[nbr_start[u]:nbr_start[u + 1]]:
             if not seen[v]:
                 seen[v] = True

@@ -74,8 +74,8 @@ class Problem:
     1]``, as rows ``k_u + 1`` wide: its unary row, a block per neighbour in
     ``nbr_nodes`` order, and a blocked row.  Node v's pushes are the entries
     ``push_start[v]:push_start[v + 1]``: when v takes local label t, entry i
-    writes table cell ``push_table[i] + t * push_step[i]`` + ``edge_flat[
-    push_msg_u[i]]`` + ``edge_flat[push_msg_v[i] + t]`` to buffer cell
+    writes cell ``push_table[i] + t * push_step[i]`` of ``table_buffer``, or
+    of :func:`adjusted_tables` given a dual state, to buffer cell
     ``push_dest[i]``.  The instance is safe to share across threads.
     """
 
@@ -152,9 +152,6 @@ class Problem:
         stride = self.edge_stride[e]
         self.push_table = self.edge_start[e][entry] + j * np.where(rows, 1, stride)[entry]
         self.push_step = np.where(rows, stride, 1)[entry]
-        ends = np.where(rows[:, None], self.msg_start[e], self.msg_start[e][:, ::-1])
-        self.push_msg_u = ends[entry, 0] + j
-        self.push_msg_v = ends[entry, 1]
 
         # label_slots lists each owned label's owner slots in slot order and
         # then the sentinel slot len(slot_labels), the zero-cost dummy node;
@@ -299,6 +296,24 @@ class Reparametrization:
         g, a, b = table.shape
         return (self.edge_flat[mu:mu + g * a].reshape(g, a),
                 self.edge_flat[mv:mv + g * b].reshape(g, b))
+
+    def adjusted_block(self, table, mu, mv, out=None):
+        """One batch's tables plus both edge messages, each cell as (cell + u-side
+        message) + v-side message, in a (b, G, a) array (``out`` if given)."""
+        msg_u, msg_v = self.batch_messages(table, mu, mv)
+        out = np.add(table.transpose(2, 0, 1), msg_u, out=out)
+        out += msg_v.T[:, :, None]
+        return out
+
+
+def adjusted_tables(problem, repar):
+    """Every table plus both of its edge messages, laid out like ``table_buffer``."""
+    adjusted, cell = np.empty(problem.table_buffer.size), 0
+    for table, _, _, mu, mv in itertools.chain.from_iterable(problem.batches):
+        block = adjusted[cell:cell + table.size].reshape(-1, *table.shape[:2])
+        repar.adjusted_block(table, mu, mv, block)
+        cell += table.size
+    return adjusted
 
 
 def matching_side(problem, repar):

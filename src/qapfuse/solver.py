@@ -25,7 +25,8 @@ import numpy as np
 from .dualbca import DualState, sweep
 from .greedy import greedy_assignment
 from .lap import solve_lap
-from .model import all_dummy, assignment_side, energy, is_feasible, validate_assignment
+from .model import (adjusted_tables, all_dummy, assignment_side, energy, is_feasible,
+                    validate_assignment)
 from .ddio import SolverTraceRecord
 from .fusion import fuse
 
@@ -38,8 +39,9 @@ _WORK_RATE = 5.0e7
 
 @dataclass
 class SolverConfig:
-    """Run parameters; counts must be >= 1, the seed drives every random
-    choice (greedy node order and fusion improvement order)."""
+    """Run parameters; counts must be >= 1 and the seed >= 0; the seed
+    drives every random choice (greedy node order and fusion improvement
+    order)."""
     max_batches: int = 50000
     batch_size: int = 1
     greedy_generations: int = 1
@@ -49,14 +51,15 @@ class SolverConfig:
     primal_heuristic: str = "greedy"
 
     def validate(self):
-        for name in ("max_batches", "batch_size", "greedy_generations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        lows = {"max_batches": 1, "batch_size": 1, "greedy_generations": 1, "seed": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
         if self.fusion_mode not in ("qpbo-i", "exact"):
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.primal_heuristic not in ("greedy", "lap"):
             raise ValueError(f"unknown primal heuristic {self.primal_heuristic!r}")
-        if self.time_budget_seconds is not None and self.time_budget_seconds <= 0:
+        if self.time_budget_seconds is not None and not self.time_budget_seconds > 0:
             raise ValueError("time budget must be positive")
 
 
@@ -107,13 +110,15 @@ def solve(problem, config=None, *, trace_clock=None):
     def propose_and_fuse():
         nonlocal incumbent, best_energy
         record("edge-sweep", best_energy, pair_work)
+        # The dual state is fixed until the sweep goes on: one LAP proposal,
+        # or one set of adjusted tables, serves every generation.
         if config.primal_heuristic == "lap":
-            # The dual state is fixed until the sweep goes on: one LAP
-            # proposal serves every generation.
-            proposal = solve_lap(problem, assignment_side(problem, state.repar))[0]
+            adjusted, proposal = None, solve_lap(problem, assignment_side(problem, state.repar))[0]
+        else:
+            adjusted = adjusted_tables(problem, state.repar)
         for _ in range(config.greedy_generations):
             if config.primal_heuristic == "greedy":
-                proposal = greedy_assignment(problem, rng, state.repar)
+                proposal = greedy_assignment(problem, rng, state.repar, adjusted)
             record(config.primal_heuristic, best_energy, unary_work + pair_work / 4)
             fused = fuse(problem, incumbent, proposal, mode=config.fusion_mode, rng=rng)
             fused_energy = energy(problem, fused)
@@ -121,6 +126,7 @@ def solve(problem, config=None, *, trace_clock=None):
             if improved:
                 incumbent, best_energy = fused, fused_energy
             record("improved" if improved else "fusion", best_energy, fusion_work)
+        return adjusted  # the sweep's bound reads it
 
     done = proved()
     for _ in range(config.max_batches):

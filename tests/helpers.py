@@ -121,9 +121,12 @@ def assignment_cost(problem, repar, u):
 
 
 def adjusted_table(problem, repar, u, v):
-    """Edge {u, v}'s table plus both of its messages, u's labels on the rows."""
-    return (oriented_table(problem, u, v) + edge_message(problem, repar, u, v)[:, None]
-            + edge_message(problem, repar, v, u)[None, :])
+    """Edge {u, v}'s table plus both of its messages, u's labels on the rows.
+    Each cell adds the lower endpoint's message first, as the bound does."""
+    mine = edge_message(problem, repar, u, v)[:, None]
+    theirs = edge_message(problem, repar, v, u)[None, :]
+    table = oriented_table(problem, u, v)
+    return (table + mine) + theirs if u < v else (table + theirs) + mine
 
 
 def random_problem(rng, max_nodes=5, max_labels=4, cost_range=9,
@@ -222,7 +225,9 @@ def energy_by_resummation(problem, x):
 def greedy_by_loops(problem, rng, repar=None):
     """Reference greedy construction on sets and per-node vectors: the
     same visit order, sums and tie rule (lowest label, the dummy last) as
-    ``greedy_assignment``, one neighbour table column at a time."""
+    ``greedy_assignment``, one neighbour table column at a time.  Given a
+    dual state, a column comes from :func:`adjusted_table`, whose cells add
+    the edge's messages in the bound's order."""
     rng = np.random.default_rng(rng)
     n = problem.num_nodes
     nbrs = neighbors(problem)
@@ -244,12 +249,9 @@ def greedy_by_loops(problem, rng, repar=None):
         totals = unary[u].copy()
         for v in nbrs[u]:
             if assigned[v]:
-                t = local[v]
-                column = oriented_table(problem, u, v)[:, t]
-                if repar is not None:
-                    column = (column + edge_message(problem, repar, u, v)
-                              + edge_message(problem, repar, v, u)[t])
-                totals = totals + column
+                table = (oriented_table(problem, u, v) if repar is None
+                         else adjusted_table(problem, repar, u, v))
+                totals = totals + table[:, local[v]]
         k = len(cand[u])
         blocked = [i for i, s in enumerate(cand[u]) if s in used]
         if blocked:

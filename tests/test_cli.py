@@ -43,6 +43,26 @@ class TestSolve:
         assert code == 2
         assert "max-batches" in err
 
+    @pytest.mark.parametrize("value", ["nan", "NaN", "0", "-1"])
+    def test_time_budget_must_be_a_positive_number(self, minimal_dd, capsys, value):
+        code = main(["solve", minimal_dd, "--time-budget", value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "argument --time-budget: must be > 0" in err
+
+    @pytest.mark.parametrize("subcommand", ["solve", "fuse"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, subcommand):
+        # Refused while the arguments are parsed: the instance path does
+        # not even exist.
+        missing = str(tmp_path / "missing.dd")
+        extra = [missing, missing] if subcommand == "fuse" else []
+        code = main([subcommand, missing] + extra + ["--seed", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "argument --seed: must be >= 0" in err
+        assert main([subcommand, missing] + extra + ["--seed", "0"]) == 1
+        capsys.readouterr()
+
     def test_missing_file_is_runtime_error(self, capsys):
         code = main(["solve", "/nonexistent/x.dd"])
         out = capsys.readouterr()

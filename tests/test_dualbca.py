@@ -69,6 +69,17 @@ class TestDualBound:
             assert qf.dual_bound(p, r) <= opt + 1e-9 * max(1.0, abs(opt))
 
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
+    def test_bound_from_adjusted_tables_is_bitwise_the_same(self, scale):
+        rng = np.random.default_rng(22)
+        for trial in range(60):
+            p = scaled_problem(random_problem(rng, max_nodes=7, max_labels=5, edge_prob=0.6,
+                                              integer=trial % 2 == 0), scale)
+            r = random_reparametrization(p, rng, scale=3.0 * scale)
+            plain = qf.dual_bound(p, r)
+            assert qf.dual_bound(p, r, qf.model.adjusted_tables(p, r)).hex() == plain.hex()
+
+
 class TestEdgeUpdate:
     def test_zero_edge_is_fixed_point(self):
         p = qf.Problem(2, 1, [[0], [0]],

@@ -10,6 +10,7 @@ from helpers import (
     pairwise_tables,
     random_problem,
     random_reparametrization,
+    rebuild_message_sums,
     scaled_problem,
 )
 
@@ -236,3 +237,27 @@ def test_ties_between_signed_zeros():
                        {(u, v): rng.choice([-0.0, 0.0, 1.0], size=table.shape)
                         for (u, v), table in pairwise_tables(p).items()})
         assert_matches_loops(p, rng, message_scale=0.0)
+
+
+def test_pushed_cells_add_the_lower_endpoints_message_first():
+    # Edge (0, 1) carries message 2^53 on node 0's label and [1, -3] on
+    # node 1's slots.  Node 0 takes label 0 whenever it goes first, and
+    # then node 1's totals are -4 + ((1 + 2^53) + 1) = 2^53 - 4 for label 1
+    # and 3 + ((-3 + 2^53) - 3) = 2^53 - 3 for the dummy: label 1 wins.
+    # Adding node 1's message first would give 2^53 - 2 against 2^53 - 3.
+    # Visited first, node 1 takes label 1 as well (-4 against 3).
+    p = qf.Problem(2, 2, [[0], [1]], [np.zeros(2), np.zeros(2)],
+                   {(0, 1): np.array([[1.0, -3.0], [0.0, 0.0]])})
+    r = qf.Reparametrization(p)
+    (mu, mv), = p.msg_start
+    r.edge_flat[mu:mu + 2] = [2.0**53, 0.0]
+    r.edge_flat[mv:mv + 2] = [1.0, -3.0]
+    r.label_flat[p.offsets[1]] = -3.0
+    rebuild_message_sums(p, r)
+    firsts = set()
+    for seed in range(10):
+        x = qf.greedy_assignment(p, seed, r)
+        assert x.tolist() == [0, 1]
+        assert np.array_equal(greedy_by_loops(p, seed, r), x)
+        firsts.add(int(np.random.default_rng(seed).integers(2)))
+    assert firsts == {0, 1}  # both visit orders occur

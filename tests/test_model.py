@@ -19,6 +19,7 @@ from helpers import (
     random_reparametrization,
     rebuild_message_sums,
     same_problem_bytes,
+    scaled_problem,
     table_cell,
     unary_costs,
 )
@@ -243,6 +244,26 @@ class TestReparametrization:
         for u in range(p.num_nodes):
             assert label_message(p, r, u)[-1] == unary_costs(p, u)[-1] / 2.0
             assert qf.assignment_side(p, r)[p.offsets[u + 1] - 1] == 0.0
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
+    def test_adjusted_tables_add_the_lower_endpoints_message_first(self, scale):
+        # Messages of both magnitudes 2^53 and 1 make the order of the two
+        # additions show in the cells.
+        rng = np.random.default_rng(2025)
+        for trial in range(40):
+            p = scaled_problem(random_problem(rng, max_nodes=6, max_labels=4, edge_prob=0.7,
+                                              integer=trial % 2 == 0), scale)
+            r = random_reparametrization(p, rng, scale=3.0 * scale)
+            big = rng.random(r.edge_flat.size) < 0.3
+            r.edge_flat[big] = rng.choice([-1.0, 1.0], big.sum()) * 2.0**53 * scale
+            rebuild_message_sums(p, r)
+            adjusted = qf.model.adjusted_tables(p, r)
+            assert adjusted.shape == p.table_buffer.shape
+            for e, (u, v) in enumerate(p.edges):
+                table = adjusted_table(p, r, u, v)
+                for (i, j), want in np.ndenumerate(table):
+                    got = adjusted[p.edge_start[e] + i + j * p.edge_stride[e]]
+                    assert got.tobytes() == want.tobytes()
 
     def test_invariance_identity(self):
         rng = np.random.default_rng(2024)

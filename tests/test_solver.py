@@ -1,4 +1,5 @@
 import io
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -165,6 +166,38 @@ class TestSolve:
         assert len(calls) == sweeps
         assert sum(r.event == "lap" for r in trace) == 3 * sweeps
 
+    def test_each_sweeps_bound_equals_a_fresh_bound(self, monkeypatch):
+        # Greedy solves hand the sweep the adjusted tables they built, one
+        # set per sweep for all generations; the bound it records from them
+        # is bit for bit the bound of the state.  LAP solves build none.
+        built, checked = [], []
+        real_tables, real_sweep = qf.solver.adjusted_tables, qf.solver.sweep
+
+        def tables_spy(problem, repar):
+            built.append(1)
+            return real_tables(problem, repar)
+
+        def sweep_spy(problem, state, between):
+            real_sweep(problem, state, between)
+            assert state.dual_bound.hex() == qf.dual_bound(problem, state.repar).hex()
+            checked.append(state.dual_bound)
+
+        monkeypatch.setattr(qf.solver, "adjusted_tables", tables_spy)
+        monkeypatch.setattr(qf.solver, "sweep", sweep_spy)
+        rng = np.random.default_rng(15)
+        problems = [geometric_matching_instance(3, n=12, noise=0.3, outliers=3)[0]]
+        problems += [random_problem(rng, max_nodes=9, min_nodes=6, max_labels=5, edge_prob=0.7,
+                                    integer=False) for _ in range(4)]
+        for p, heuristic in itertools.product(problems, ("greedy", "lap")):
+            built.clear(), checked.clear()
+            cfg = qf.SolverConfig(max_batches=6, batch_size=2, greedy_generations=3,
+                                  seed=5, primal_heuristic=heuristic)
+            trace = qf.solve(p, cfg).trace
+            sweeps = sum(r.event == "edge-sweep" for r in trace)
+            assert sweeps == len(checked) > 1
+            assert len(built) == (heuristic == "greedy") * sweeps
+            assert sum(r.event == heuristic for r in trace[1:]) == 3 * sweeps
+
     def test_one_energy_evaluation_per_fusion(self, monkeypatch):
         # fuse compares its result with the incumbent on the auxiliary
         # energy, and the solver already holds the incumbent's energy.
@@ -197,11 +230,12 @@ class TestSolve:
     @pytest.mark.parametrize("field,value", [
         ("max_batches", 0), ("batch_size", 0), ("greedy_generations", -1),
         ("fusion_mode", "ilp"), ("primal_heuristic", "bp"),
-        ("time_budget_seconds", 0.0),
+        ("time_budget_seconds", 0.0), ("time_budget_seconds", float("nan")),
+        ("seed", -1),
     ])
     def test_config_validation(self, field, value):
         cfg = qf.SolverConfig(**{field: value})
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field.split("_")[0]):  # the message names the field
             cfg.validate()
 
     def test_geometric_matching_recovers_planted_solution(self):
