@@ -32,7 +32,7 @@ from .model import DUMMY, adjusted_tables, matching_side
 
 def greedy_assignment(problem, rng, repar=None, adjusted=None):
     """Run the greedy construction on the original costs, or on the costs
-    reparametrized by ``repar`` and, if given, its ``adjusted_tables`` in ``adjusted``.
+    reparametrized by ``repar`` (its adjusted tables from ``adjusted`` if given).
 
     ``rng`` is an int seed or a numpy Generator.  Ties in the label argmin
     go to the lowest label id; the dummy loses every tie against a real

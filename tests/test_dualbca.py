@@ -68,7 +68,6 @@ class TestDualBound:
             opt, _ = brute_force_optimum(p)
             assert qf.dual_bound(p, r) <= opt + 1e-9 * max(1.0, abs(opt))
 
-
     @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
     def test_bound_from_adjusted_tables_is_bitwise_the_same(self, scale):
         rng = np.random.default_rng(22)

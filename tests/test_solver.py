@@ -189,7 +189,8 @@ class TestSolve:
         problems += [random_problem(rng, max_nodes=9, min_nodes=6, max_labels=5, edge_prob=0.7,
                                     integer=False) for _ in range(4)]
         for p, heuristic in itertools.product(problems, ("greedy", "lap")):
-            built.clear(), checked.clear()
+            built.clear()
+            checked.clear()
             cfg = qf.SolverConfig(max_batches=6, batch_size=2, greedy_generations=3,
                                   seed=5, primal_heuristic=heuristic)
             trace = qf.solve(p, cfg).trace
