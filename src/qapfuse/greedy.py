@@ -11,12 +11,12 @@ reparametrized costs (matching-side unaries and message-adjusted edge
 tables); in the latter case proposals improve as the dual bound does,
 while their quality is still judged by original energy.
 
-Costs are pushed, not pulled (buffer layout in :class:`~qapfuse.model.Problem`):
-assigning a node scatters its table column, message-adjusted given a dual
-state, into each neighbour's block for it and sets the blocked-row cells of
-its label's owner slots to inf.  A visit sums its node's rows top to bottom,
-as a loop over assigned neighbours in ascending order adds: a zero block
-changes at most the sign of a zero, and adding inf sets a cell to inf.
+Costs are pushed, not pulled (index arrays in :class:`~qapfuse.model.Problem`):
+each slot keeps a running score, first its unary cost.  Assigning a node
+adds its table column, message-adjusted given a dual state, into each
+neighbour's scores, and taking a label sets its owner slots' scores to inf.
+So a score adds its neighbours' columns in the order they were assigned,
+and a visit is one argmin over its node's slots.
 
 Randomness comes from numpy's PCG64 generator, seeded explicitly, so runs
 are reproducible across platforms.  Frontier sampling is uniform over the
@@ -40,22 +40,16 @@ def greedy_assignment(problem, rng, repar=None, adjusted=None):
     """
     rng = np.random.default_rng(rng)
     n = problem.num_nodes
-    unary = problem.unary_flat if repar is None else matching_side(problem, repar)
-    offsets, blocks = problem.offsets, problem.block_start
-    size = np.diff(offsets)
-    buffer = np.zeros(blocks[-1])
-    cell = np.arange(unary.size) + np.repeat(blocks[:-1] - offsets[:-1], size)
-    buffer[cell] = unary
-    # Blocked-row cells of each label's owner slots, run by run.
+    score = problem.unary_flat.copy() if repar is None else matching_side(problem, repar)
+    # Each label's owner slots are the run label_slots[bounds[r]:bounds[r + 1] - 1].
     bounds = problem.label_starts.tolist() + [problem.label_slots.size]
-    owner_cells = np.append(cell + np.repeat(np.diff(blocks) - size, size), -1)[problem.label_slots]
-    run = np.zeros(unary.size + 1, dtype=np.int64)
+    run = np.zeros(score.size + 1, dtype=np.int64)
     run[problem.label_slots] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
 
     table = problem.table_buffer if repar is None else adjusted
     table = adjusted_tables(problem, repar) if table is None else table
     dest, base, step = problem.push_dest, problem.push_table, problem.push_step
-    offsets, blocks, push = offsets.tolist(), blocks.tolist(), problem.push_start.tolist()
+    offsets, push = problem.offsets.tolist(), problem.push_start.tolist()
     nbr_start, nbr_nodes = problem.nbr_start.tolist(), problem.nbr_nodes.tolist()
     slot_labels, run = problem.slot_labels.tolist(), run.tolist()
 
@@ -70,14 +64,13 @@ def greedy_assignment(problem, rng, repar=None, adjusted=None):
         seen[u] = True
 
         a, b = offsets[u], offsets[u + 1]
-        rows = buffer[blocks[u]:blocks[u + 1]].reshape(-1, b - a)
-        choice = int(np.add.reduce(rows, axis=0).argmin())  # the first minimum; the dummy is last
+        choice = int(score[a:b].argmin())  # the first minimum; the dummy is last
         if choice < b - a - 1:
             labels[u] = slot_labels[a + choice]
             r = run[a + choice]
-            buffer[owner_cells[bounds[r]:bounds[r + 1] - 1]] = np.inf
+            score[problem.label_slots[bounds[r]:bounds[r + 1] - 1]] = np.inf
         lo, hi = push[u], push[u + 1]
-        buffer[dest[lo:hi]] = table[base[lo:hi] + choice * step[lo:hi]]
+        score[dest[lo:hi]] += table[base[lo:hi] + choice * step[lo:hi]]
         for v in nbr_nodes[nbr_start[u]:nbr_start[u + 1]]:
             if not seen[v]:
                 seen[v] = True

@@ -25,9 +25,7 @@ def solve_lap(problem, costs):
     rectangular matrix with one zero-cost dummy column per node.
     """
     n, L = problem.num_nodes, problem.num_labels
-    spans = zip(problem.offsets[:-1].tolist(), problem.offsets[1:].tolist())
-    blocked = 1.0 + sum(float(np.abs(costs[a:b - 1]).sum()) for a, b in spans)
-    matrix = np.full((n, L + n), blocked)
+    matrix = np.full((n, L + n), np.inf)  # non-candidate cells
     matrix[np.arange(n), L + np.arange(n)] = 0.0  # private dummy columns
     node = np.repeat(np.arange(n), np.diff(problem.offsets))
     real = problem.slot_labels != DUMMY
@@ -36,8 +34,8 @@ def solve_lap(problem, costs):
     rows, cols = linear_sum_assignment(matrix)
     labels = np.full(n, DUMMY, dtype=np.int64)
     labels[rows] = np.where(cols < L, cols, DUMMY)
-    # A non-candidate (blocked) cell can never be optimal, as the private
-    # dummy column is always available at cost 0; slots() would reject it.
+    # A non-candidate (inf) cell is never chosen, as the private dummy
+    # column is always available at cost 0; slots() would reject it.
     chosen = labels != DUMMY
     return labels, sequential_sum(costs[problem.slots(labels)[chosen]])
 

@@ -70,13 +70,12 @@ class Problem:
     are ``nbr_nodes[nbr_start[u]:nbr_start[u + 1]]`` with their edges in
     ``nbr_edges``.
 
-    Greedy's buffer gives node u the cells ``block_start[u]:block_start[u +
-    1]``, as rows ``k_u + 1`` wide: its unary row, a block per neighbour in
-    ``nbr_nodes`` order, and a blocked row.  Node v's pushes are the entries
+    Greedy keeps one score per slot.  Node v's pushes are the entries
     ``push_start[v]:push_start[v + 1]``: when v takes local label t, entry i
-    writes cell ``push_table[i] + t * push_step[i]`` of ``table_buffer``, or
-    of :func:`adjusted_tables` given a dual state, to buffer cell
-    ``push_dest[i]``.  The instance is safe to share across threads.
+    adds cell ``push_table[i] + t * push_step[i]`` of ``table_buffer``, or
+    of :func:`adjusted_tables` given a dual state, to the score of the
+    neighbour's slot ``push_dest[i]``.  The instance is safe to share across
+    threads.
     """
 
     def __init__(self, num_nodes, num_labels, candidate_labels, unary, pairwise=None):
@@ -138,16 +137,13 @@ class Problem:
         self.nbr_edges = np.tile(np.arange(len(self.edges)), 2)[order]
         self.nbr_start = np.concatenate(([0], np.cumsum(np.bincount(own, minlength=n))))
 
-        # Entry c (node v, neighbour u, edge e) pushes to row 1 + back[c] -
-        # nbr_start[u], where back[c] is u's entry for v, one cell per slot j.
-        back = np.argsort(order).reshape(2, -1)[::-1].ravel()[order]
+        # Entry c (node v, neighbour u, edge e) pushes one cell into each slot j of u.
         u, e = self.nbr_nodes, self.nbr_edges
         width = size[u]
         entry = np.repeat(np.arange(u.size), width)
         j = np.arange(entry.size) - (np.cumsum(width) - width)[entry]
-        self.block_start = np.concatenate(([0], np.cumsum((np.diff(self.nbr_start) + 2) * size)))
         self.push_start = np.concatenate(([0], np.cumsum(width)))[self.nbr_start]
-        self.push_dest = (self.block_start[u] + (back - self.nbr_start[u] + 1) * width)[entry] + j
+        self.push_dest = self.offsets[u][entry] + j
         rows = u < own[order]  # u's labels index the table's rows
         stride = self.edge_stride[e]
         self.push_table = self.edge_start[e][entry] + j * np.where(rows, 1, stride)[entry]

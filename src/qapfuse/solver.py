@@ -16,6 +16,7 @@ clock.  Pass ``trace_clock=time.perf_counter`` to record real time
 instead, at the cost of reproducible traces.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -39,9 +40,9 @@ _WORK_RATE = 5.0e7
 
 @dataclass
 class SolverConfig:
-    """Run parameters; counts must be >= 1 and the seed >= 0; the seed
-    drives every random choice (greedy node order and fusion improvement
-    order)."""
+    """Run parameters; counts must be integers >= 1 and the seed an integer
+    >= 0; the seed drives every random choice (greedy node order and fusion
+    improvement order)."""
     max_batches: int = 50000
     batch_size: int = 1
     greedy_generations: int = 1
@@ -53,8 +54,9 @@ class SolverConfig:
     def validate(self):
         lows = {"max_batches": 1, "batch_size": 1, "greedy_generations": 1, "seed": 0}
         for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, not {value!r}")
         if self.fusion_mode not in ("qpbo-i", "exact"):
             raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.primal_heuristic not in ("greedy", "lap"):

@@ -225,7 +225,8 @@ def energy_by_resummation(problem, x):
 def greedy_by_loops(problem, rng, repar=None):
     """Reference greedy construction on sets and per-node vectors: the
     same visit order, sums and tie rule (lowest label, the dummy last) as
-    ``greedy_assignment``, one neighbour table column at a time.  Given a
+    ``greedy_assignment``, one neighbour table column at a time, adding the
+    assigned neighbours' columns in the order they were assigned.  Given a
     dual state, a column comes from :func:`adjusted_table`, whose cells add
     the edge's messages in the bound's order."""
     rng = np.random.default_rng(rng)
@@ -240,6 +241,7 @@ def greedy_by_loops(problem, rng, repar=None):
     labels = np.full(n, DUMMY, dtype=np.int64)
     local = [0] * n
     assigned = [False] * n
+    order = []  # the assigned nodes, first assigned first
     used = set()
     frontier = set()
     for _ in range(n):
@@ -247,8 +249,8 @@ def greedy_by_loops(problem, rng, repar=None):
         u = pool[int(rng.integers(len(pool)))]
 
         totals = unary[u].copy()
-        for v in nbrs[u]:
-            if assigned[v]:
+        for v in order:
+            if v in nbrs[u]:
                 table = (oriented_table(problem, u, v) if repar is None
                          else adjusted_table(problem, repar, u, v))
                 totals = totals + table[:, local[v]]
@@ -268,6 +270,7 @@ def greedy_by_loops(problem, rng, repar=None):
             used.add(cand[u][choice])
         local[u] = choice
         assigned[u] = True
+        order.append(u)
         frontier.discard(u)
         frontier.update(v for v in nbrs[u] if not assigned[v])
     return labels

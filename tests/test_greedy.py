@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import qapfuse as qf
 from helpers import (
@@ -186,16 +187,37 @@ def test_matches_loop_reference_at_extreme_scales(scale):
         assert_matches_loops(scaled_problem(p, scale), rng, message_scale=3.0 * scale)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=strategies.integers(0, 2**32 - 1), k=strategies.integers(-40, 40),
+       greedy_seed=strategies.integers(0, 2**16))
+def test_labels_unchanged_when_costs_and_messages_scale_by_a_power_of_two(seed, k, greedy_seed):
+    # Scaling every cost, and every message of a dual state after three
+    # sweeps, by 2^k scales every score exactly, so every argmin stays.
+    rng = np.random.default_rng(seed)
+    p = random_problem(rng, max_nodes=8, max_labels=5, integer=seed % 2 == 0, edge_prob=0.5)
+    q = scaled_problem(p, 2.0**k)
+    state = qf.DualState.initial(p)
+    for _ in range(3):
+        qf.sweep(p, state)
+    scaled = qf.Reparametrization(q)
+    for name in ("edge_flat", "label_flat", "msg_sums"):
+        getattr(scaled, name)[:] = getattr(state.repar, name) * 2.0**k
+    assert np.array_equal(qf.greedy_assignment(q, greedy_seed),
+                          qf.greedy_assignment(p, greedy_seed))
+    assert np.array_equal(qf.greedy_assignment(q, greedy_seed, scaled),
+                          qf.greedy_assignment(p, greedy_seed, state.repar))
+
+
 def mixed_magnitudes(rng, shape):
     """Costs from {-2^53, 2^53, -3, ..., 3}: a sum of them depends on the
     order of its terms."""
     return rng.choice([-2.0**53, 2.0**53, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0], size=shape)
 
 
-def test_hub_sums_its_neighbours_in_ascending_order():
+def test_hub_sums_its_neighbours_in_assignment_order():
     # Node 0 neighbours every other node, and its tables mix magnitudes so
-    # that adding its neighbours' columns in another order picks other
-    # labels; nodes 1..9 also form a path.
+    # that adding its neighbours' columns in another order, such as
+    # ascending node order, picks other labels; nodes 1..9 also form a path.
     rng = np.random.default_rng(93)
     n, labels = 10, 6
     for _ in range(20):

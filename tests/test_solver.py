@@ -232,12 +232,21 @@ class TestSolve:
         ("max_batches", 0), ("batch_size", 0), ("greedy_generations", -1),
         ("fusion_mode", "ilp"), ("primal_heuristic", "bp"),
         ("time_budget_seconds", 0.0), ("time_budget_seconds", float("nan")),
-        ("seed", -1),
+        ("seed", -1), ("max_batches", 2.5), ("batch_size", 2.0),
+        ("greedy_generations", 1.5), ("seed", 0.5),
     ])
     def test_config_validation(self, field, value):
         cfg = qf.SolverConfig(**{field: value})
         with pytest.raises(ValueError, match=field.split("_")[0]):  # the message names the field
             cfg.validate()
+
+    def test_non_integral_count_fails_validation_not_the_solve(self):
+        p = qf.Problem(1, 1, [[0]], [np.array([-1.0, 0.0])])
+        with pytest.raises(ValueError, match="max_batches must be an integer"):
+            qf.solve(p, qf.SolverConfig(max_batches=2.5))
+        # numpy integers are integers.
+        outcome = qf.solve(p, qf.SolverConfig(max_batches=np.int64(2), seed=np.uint8(3)))
+        assert outcome.best.tolist() == [0]
 
     def test_geometric_matching_recovers_planted_solution(self):
         # Wide-baseline-style instances: the solver must match or beat the
