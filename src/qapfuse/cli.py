@@ -66,7 +66,7 @@ def _build_parser():
 
 
 def _load_problem(path):
-    with open(path, "r", newline="\n") as handle:
+    with open(path, "r", newline="\n", encoding="utf-8") as handle:
         return to_problem(parse_dd(handle))
 
 
@@ -94,12 +94,12 @@ def run_solve(args):
 
 def run_fuse(args):
     problem = _load_problem(args.input)
-    with open(args.proposals, "r", newline="\n") as handle:
+    with open(args.proposals, "r", newline="\n", encoding="utf-8") as handle:
         proposals = parse_proposals(handle, problem)
     if not proposals:
         raise ValueError("proposal file is empty")
     final, steps = fuse_sequence(problem, proposals, mode=args.fusion, rng=args.seed)
-    with open(args.results, "w", newline="\n") as out:
+    with open(args.results, "w", newline="\n", encoding="utf-8") as out:
         out.write("step,proposal_energy,incumbent_energy\n")
         for step, proposal_energy, incumbent_energy in steps:
             out.write(f"{step},{proposal_energy:.6g},{incumbent_energy:.6g}\n")
@@ -109,7 +109,7 @@ def run_fuse(args):
 
 def run_bound(args):
     problem = _load_problem(args.input)
-    with open(args.proposals, "r", newline="\n") as handle:
+    with open(args.proposals, "r", newline="\n", encoding="utf-8") as handle:
         proposals = parse_proposals(handle, problem)
     if len(proposals) != 2:
         raise ValueError(f"bound needs exactly two proposals, found {len(proposals)}")

@@ -14,9 +14,10 @@ lines reference two existing assignments with distinct left indices;
 repeated (id1, id2) pairs accumulate additively.  Integers and costs read
 as Python's ``int`` and ``float`` read them.
 
-`parse_dd` reads the stream in chunks of lines, each as numpy columns of
-its records.  Only a chunk that holds an error is read again, a line at a
-time, which finds its first bad line and words the message.
+`parse_dd` reads the stream in chunks of lines, each kind's lines with
+numpy's C text reader, which reads a subset of that grammar to the same
+values.  A chunk it refuses, or that breaks a rule, is read again a line
+at a time, which reads it or words its first bad line's error.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.
@@ -91,6 +92,9 @@ class _Records(Sequence):
         return len(self.columns[0])
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            # No longer the whole file's records: to_problem checks them again.
+            return _Records(self.record, [column[i] for column in self.columns], ())
         return self.record(*(column[i].item() for column in self.columns))
 
     def __iter__(self):
@@ -131,14 +135,14 @@ def _chunks(source):
         start = stop
 
 
-def _ints(tokens):
-    """int64 column of integer tokens (numpy reads each with ``int``); a
-    value beyond int64 keeps the whole column as exact Python ints, out of
-    every range, for the error it raises."""
+def _ints(values):
+    """int64 column of Python ints; a value beyond int64 keeps the whole
+    column as exact Python ints, out of every range, for the error it
+    raises."""
     try:
-        return np.array(tokens, dtype=np.int64)
+        return np.array(values, dtype=np.int64)
     except OverflowError:
-        return np.array([int(t) for t in tokens], dtype=object)
+        return np.array(values, dtype=object)
 
 
 _A, _C, _E = map(ord, "ace")
@@ -153,19 +157,17 @@ def _pick(lines, at):
 
 def _fields(lines, kind, width):
     """Columns (integer fields, then the cost) of the lines of one kind, or
-    None if one of them does not parse."""
-    tokens = " ".join(lines).split()
-    # Each line's first token starts with the kind letter, as no number
-    # does.  If the token count is right and every kind slot holds the kind,
-    # a line with another field count puts a later line's first token in a
-    # number slot, and that line fails to convert.
-    if len(tokens) != width * len(lines) or tokens[::width].count(kind) != len(lines):
-        return None
+    None if numpy's C reader refuses one of them."""
+    dtype = np.dtype(", ".join(["U2"] + ["i8"] * (width - 2) + ["f8"]))
     try:
-        return ([_ints(tokens[c::width]) for c in range(1, width - 1)]
-                + [np.array(tokens[width - 1::width], dtype=np.float64)])
+        rows = np.loadtxt(lines, dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
     except ValueError:
         return None
+    # A first field longer than the kind stays unequal to it in U2, but
+    # numpy drops a NUL that ends a field, where Python keeps it.
+    if len(rows) != len(lines) or (rows["f0"] != kind).any() or "\0" in "".join(lines):
+        return None
+    return [rows[name] for name in dtype.names[1:]]
 
 
 def _header(fields):
@@ -181,7 +183,8 @@ def _read_chunk(lines, header, seen):
     """Read one chunk of lines as columns, after the header and the sorted
     assignment ids of the chunks before it.  Returns the header, the ids
     seen, the assignment and pairwise columns and the pairwise lines'
-    positions in the chunk; None if a line breaks a rule."""
+    positions in the chunk; None if a line breaks a rule or the C reader
+    refuses one."""
     # A line's kind is its first character, or its first after leading
     # whitespace; a blank line counts as a comment.
     heads = "".join([raw[:1] or "\n" for raw in lines])
@@ -212,11 +215,17 @@ def _read_chunk(lines, header, seen):
     return header, seen, assignments, terms, e_at
 
 
-def _reject(lines, first, header, seen):
-    """Raise the first error of a chunk that does not read as columns,
-    reading it a line at a time after the header and the assignment ids
-    of the chunks before it; ``first`` is the number of its first line."""
-    seen = set(seen.tolist())
+def _columns(records, width):
+    """Columns of ``width``-field records: integer fields, then the cost."""
+    *ints, cost = zip(*records) if records else [()] * width
+    return [_ints(c) for c in ints] + [np.array(cost, dtype=np.float64)]
+
+
+def _read_lines(lines, first, header, seen):
+    """Read a chunk a line at a time, after the header and the sorted
+    assignment ids of the chunks before it; ``first`` is the number of its
+    first line.  Raises its first error, or returns what `_read_chunk` does."""
+    known, a_records, e_records, e_at = set(seen.tolist()), [], [], []
     for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -241,31 +250,35 @@ def _reject(lines, first, header, seen):
                 raise ParseError("assignment line must be 'a id left right cost'", lineno)
             try:
                 aid, left, right = (int(f) for f in fields[1:4])
-                float(fields[4])
+                cost = float(fields[4])
             except ValueError:
                 raise ParseError("malformed assignment line", lineno) from None
             n_left, n_right, n_assign, _ = header
             if not 0 <= aid < n_assign:
                 raise ParseError(f"assignment id {aid} out of range [0, {n_assign})", lineno)
-            if aid in seen:
+            if aid in known:
                 raise ParseError(f"duplicate assignment id {aid}", lineno)
             if not 0 <= left < n_left:
                 raise ParseError(f"left index {left} out of range", lineno)
             if not 0 <= right < n_right:
                 raise ParseError(f"right index {right} out of range", lineno)
-            seen.add(aid)
+            known.add(aid)
+            a_records.append((aid, left, right, cost))
         elif kind == "e":
             if header is None:
                 raise ParseError("pairwise line before header", lineno)
             if len(fields) != 4:
                 raise ParseError("pairwise line must be 'e id1 id2 cost'", lineno)
             try:
-                int(fields[1]), int(fields[2]), float(fields[3])
+                e_records.append((int(fields[1]), int(fields[2]), float(fields[3])))
             except ValueError:
                 raise ParseError("malformed pairwise line", lineno) from None
+            e_at.append(lineno - first)
         else:
             raise ParseError(f"unknown line type {kind!r}", lineno)
-    raise AssertionError(f"chunk at line {first} refused as columns, but no line breaks a rule")
+    assignments, terms = _columns(a_records, 4), _columns(e_records, 3)
+    seen = np.sort(np.concatenate((seen, assignments[0])))
+    return header, seen, assignments, terms, np.array(e_at, dtype=np.int64)
 
 
 def parse_dd(source):
@@ -273,9 +286,7 @@ def parse_dd(source):
     header, seen, assignments, terms = None, np.zeros(0, dtype=np.int64), [], []
     first = 1
     for lines in _chunks(source):
-        chunk = _read_chunk(lines, header, seen)
-        if chunk is None:
-            _reject(lines, first, header, seen)
+        chunk = _read_chunk(lines, header, seen) or _read_lines(lines, first, header, seen)
         header, seen, chunk_assignments, chunk_terms, e_at = chunk
         assignments.append(chunk_assignments)
         terms.append(chunk_terms + [first + e_at])
@@ -315,8 +326,10 @@ def parse_dd(source):
 
 def _opened(sink):
     """A context giving a text stream to write: a ``str``/``bytes`` path is
-    opened with LF line ends and closed at exit; a stream is left open."""
-    return open(sink, "w", newline="\n") if isinstance(sink, (str, bytes)) else nullcontext(sink)
+    opened as UTF-8 with LF line ends and closed at exit; a stream is left open."""
+    if isinstance(sink, (str, bytes)):
+        return open(sink, "w", newline="\n", encoding="utf-8")
+    return nullcontext(sink)
 
 
 def write_dd(instance, sink):

@@ -300,3 +300,23 @@ def test_module_entry_point(minimal_dd, args, code, stream, start):
                             text=True, timeout=120)
     assert result.returncode == code, result.stderr
     assert getattr(result, stream).startswith(start)
+
+
+@pytest.mark.parametrize("subcommand,start", [
+    ("solve", "energy=-2.5 bound=-2.5 gap=0 optimal=true time="),
+    ("fuse", "energy=-2.5\n"),
+    ("bound", "m=1 n=0 bound=2 count=2\n"),
+])
+def test_files_read_as_utf8_under_an_ascii_locale(tmp_path, subcommand, start):
+    dd = tmp_path / "cafe.dd"
+    dd.write_bytes(("c café\n" + MINIMAL).encode("utf-8"))
+    proposals = tmp_path / "props.txt"
+    proposals.write_text("0\n-1\n")
+    extra = {"solve": [], "fuse": [proposals, tmp_path / "steps.csv"], "bound": [proposals]}
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    argv = [sys.executable, "-m", "qapfuse", subcommand, dd, *extra[subcommand]]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith(start)

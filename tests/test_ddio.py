@@ -1,7 +1,11 @@
+import importlib.util
 import io
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import qapfuse as qf
 from helpers import (candidates, edge_table, parse_dd_by_lines, problem_by_dicts, random_dd_text,
@@ -71,6 +75,18 @@ class TestParseDd:
             qf.write_dd(first, buffer)
             second = qf.parse_dd(buffer.getvalue())
             assert first == second
+
+    def test_slices_are_sequences_of_records(self):
+        inst = qf.parse_dd(TWO_NODE)
+        both = [qf.DdAssignment(0, 0, 0, 1.0), qf.DdAssignment(1, 1, 1, 1.0)]
+        assert inst.assignments[0:2] == both
+        assert inst.assignments[::-1] == both[::-1]
+        assert list(inst.assignments[-1:]) == both[-1:]
+        assert inst.pairwise_terms[1:] == [] and len(inst.pairwise_terms[:5]) == 1
+        # A part of a file's records is checked again, by the file's rules.
+        part = qf.DdInstance(2, 2, inst.assignments[:1], inst.pairwise_terms)
+        with pytest.raises(qf.ParseError, match="line 3: .* unknown assignment id 1"):
+            qf.to_problem(part)
 
 
 class TestToProblem:
@@ -471,3 +487,127 @@ class TestIdsBeyondInt64:
         assert str(2 ** 70) in str(err.value)
         assert ("out of range" in str(err.value)) or ("unknown assignment id" in str(err.value))
         assert _outcome(_load, text) == _outcome(_load_by_lines, text)
+
+
+def _benchmark_text(family, size):
+    """The `.dd` text of a benchmark workload's instance, as its harness
+    writes it for ``--seed 1``."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "instances.py"
+    spec = importlib.util.spec_from_file_location("benchmark_instances", path)
+    instances = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instances)
+    make = getattr(instances, f"{family}_instance")
+    return instances.relabel(make(0, size), 1)[0].dd_text()
+
+
+@pytest.mark.parametrize("family,size", [("knn", 300), ("dense", 30)])
+def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
+    # The line loop reads every file right, so only this test sees a C
+    # reader that refuses well-formed chunks.
+    text = _benchmark_text(family, size)
+    refused, read_lines = [], ddio._read_lines
+
+    def spy(lines, first, *rest):
+        refused.append(first)
+        return read_lines(lines, first, *rest)
+
+    monkeypatch.setattr(ddio, "_read_lines", spy)
+    inst = qf.parse_dd(text)
+    assert refused == []
+    assert len(inst.assignments) + len(inst.pairwise_terms) + 1 == text.count("\n")
+    assert [c.dtype for c in inst.pairwise_terms.columns] == [np.int64, np.int64, np.float64]
+
+
+# Token forms for the grammar property test.  Costs: halfway and
+# near-halfway decimals, subnormals, overflow, NaN and infinity spellings,
+# and forms float() reads but the C reader refuses, or neither reads.
+GRAMMAR_COSTS = [
+    "9007199254740993", "9007199254740993.000001",
+    "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "5e-324", "2.225073858507201e-308",
+    "1e400", "-1e400", "-nan", "nan", "Infinity", "-inf", "+.5e-3", "-0.0",
+    "1_000.5", "\u0661.\u0665", "\uff13.\uff15", "\U0001d7d1.\U0001d7d3", "0x1p3", "1.5\0"]
+# Integer forms: int() reads a sign, leading zeros and underscores; a
+# float, a trailing NUL and values beyond int64 break the line.
+GRAMMAR_INTS = ["{}"] * 4 + ["+{}", "0{}", "0_{}"]
+GRAMMAR_BAD_INTS = ["{}.0", "{}\0", str(2 ** 63), str(-2 ** 70)]
+# Whitespace to str.split, mid-line CR included.
+GRAMMAR_SEPARATORS = [" "] * 6 + ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+                                  "\u3000", "\r"]
+# A first field that starts with the kind but is not it.
+GRAMMAR_KINDS = ["{0}{0}", "{0}xx", "{0}\0", "\0{0}", "{0}\0{0}"]
+
+
+def _grammar_line(draw, kind, ints):
+    def one_in(n):
+        return draw(strategies.integers(0, n - 1)) == 0
+
+    def pick(forms):
+        return draw(strategies.sampled_from(forms))
+
+    if one_in(8):
+        kind = pick(GRAMMAR_KINDS).format(kind)
+    fields = [pick(GRAMMAR_BAD_INTS if one_in(16) else GRAMMAR_INTS).format(v) for v in ints]
+    if one_in(10):
+        fields = [f.translate(str.maketrans("0123456789", pick(ODD_DIGITS))) for f in fields]
+    fields.append(repr(draw(strategies.floats())) if one_in(2) else pick(GRAMMAR_COSTS))
+    lead = pick(["", "", " ", "\x85", "\u3000"])
+    return lead + kind + "".join(pick(GRAMMAR_SEPARATORS) + f for f in fields)
+
+
+@strategies.composite
+def _grammar_texts(draw):
+    """A small `.dd` text whose a and e lines are built from token forms."""
+    st = strategies
+    n_left, n_right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n_left - 1), st.integers(0, n_right - 1)),
+                          min_size=1, max_size=5, unique=True))
+    ids = draw(st.permutations(range(len(pairs))))
+    ends = draw(st.lists(st.tuples(*[st.integers(0, len(pairs) - 1)] * 2), max_size=6))
+    terms = [(ids[i], ids[j]) for i, j in ends if pairs[i][0] != pairs[j][0]]
+    lines = ([_grammar_line(draw, "a", (aid, u, s)) for aid, (u, s) in zip(ids, pairs)]
+             + [_grammar_line(draw, "e", term) for term in terms])
+    header = f"p {n_left} {n_right} {len(pairs)} {len(terms)}"
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join([header] + draw(st.permutations(lines))) + end
+
+
+def _column_values(columns):
+    """Each column's dtype and bytes; exact ints for a column beyond int64."""
+    return [(c.dtype.str, c.tolist() if c.dtype == object else c.tobytes()) for c in columns]
+
+
+def _read_or_error(parse, source):
+    """The sizes and columns a reader reads, or its error's type, message
+    and line."""
+    try:
+        n_left, n_right, assignments, terms = parse(source)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return n_left, n_right, _column_values(assignments), _column_values(terms)
+
+
+def _parse_dd_columns(source):
+    inst = qf.parse_dd(source)
+    return inst.n_left, inst.n_right, inst.assignments.columns, inst.pairwise_terms.columns
+
+
+def _oracle_columns(text):
+    def columns(records, width):
+        *ints, cost = zip(*records) if records else [()] * width
+        return [np.array(c, dtype=np.int64) for c in ints] + [np.array(cost, dtype=np.float64)]
+
+    n_left, n_right, assignments, terms = parse_dd_by_lines(text)
+    return n_left, n_right, columns(assignments, 4), columns(terms, 3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=_grammar_texts(), chunk=strategies.sampled_from([ddio._CHUNK_LINES, *range(1, 9)]))
+def test_token_forms_read_as_the_line_oracle_reads_them(text, chunk):
+    # Columns match by bytes, errors by class, message and line, for a
+    # string and a stream at every chunk size.
+    expected = _read_or_error(_oracle_columns, text)
+    with mock.patch.object(ddio, "_CHUNK_LINES", chunk):
+        for source in (text, io.StringIO(text)):
+            assert _read_or_error(_parse_dd_columns, source) == expected
