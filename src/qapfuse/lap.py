@@ -1,15 +1,14 @@
 """Linear assignment: the pairwise-free side of the dual decomposition.
 
 Two jobs live here.  :func:`solve_lap` solves the assignment-side problem
-exactly (each node takes one of its candidates or the zero-cost dummy, no
-label reused) and backs the LAP primal heuristic.  :func:`label_min_term`
-is the closed-form relaxation of the same costs used inside the dual
-bound: per label, the cheapest owner is taken when negative, dropping the
-one-label-per-node coupling, so it can only underestimate the LAP optimum.
+exactly (each node takes a candidate or the zero-cost dummy, no label
+reused) for the LAP heuristic, and imports scipy.optimize at its first call
+only.  :func:`label_min_term` is the closed-form relaxation of the same costs
+in the dual bound: each label takes its cheapest owner when negative,
+dropping the one-label-per-node coupling, so it never exceeds the LAP optimum.
 """
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import DUMMY, assignment_side, sequential_sum
 
@@ -24,6 +23,7 @@ def solve_lap(problem, costs):
     repeats.  Solved by the Hungarian-class solver in scipy on a
     rectangular matrix with one zero-cost dummy column per node.
     """
+    from scipy.optimize import linear_sum_assignment  # only LAP runs pay for this import
     n, L = problem.num_nodes, problem.num_labels
     matrix = np.full((n, L + n), np.inf)  # non-candidate cells
     matrix[np.arange(n), L + np.arange(n)] = 0.0  # private dummy columns

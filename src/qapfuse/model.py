@@ -27,6 +27,7 @@ inside double range; overflow behaviour is undefined.
 """
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -38,15 +39,23 @@ def sequential_sum(values):
     return float(np.add.accumulate(np.append(0.0, values))[-1])
 
 
+def _raise_first(rules, message):
+    """Raise ValueError(message(item, text)) for the lowest item that a rule
+    (its breaking items, ascending; text) lists, with the first such text."""
+    hits = [(items[0], text) for items, text in rules if len(items)]
+    if hits:
+        raise ValueError(message(*min(hits, key=lambda hit: hit[0])))
+
+
 class Problem:
     """Immutable quadratic-assignment instance.
 
     Parameters
     ----------
     num_nodes, num_labels:
-        Sizes of the node set and the global label pool.
+        Sizes of the node set and the global label pool, integers or integral floats.
     candidate_labels:
-        Per node, a strictly increasing sequence of global label ids.
+        Per node, a strictly increasing sequence of integral global label ids.
     unary:
         Per node, a cost vector of length ``len(candidate_labels[u]) + 1``;
         the trailing entry is the dummy cost.
@@ -79,59 +88,56 @@ class Problem:
     """
 
     def __init__(self, num_nodes, num_labels, candidate_labels, unary, pairwise=None):
-        if num_nodes < 0 or num_labels < 0:
-            raise ValueError("negative sizes")
+        if not all(float(s).is_integer() and s >= 0 for s in (num_nodes, num_labels)):
+            raise ValueError(f"negative sizes or not integers: {num_nodes}, {num_labels}")
         if len(candidate_labels) != num_nodes or len(unary) != num_nodes:
             raise ValueError("candidate_labels/unary must have one entry per node")
+        self.num_nodes, self.num_labels = n, L = int(num_nodes), int(num_labels)
 
-        self.num_nodes = n = int(num_nodes)
-        self.num_labels = int(num_labels)
+        # Each rule lists the nodes, then the edges, that break it, by one mask.
+        cands = [np.asarray(c) for c in candidate_labels]
+        costs = [np.asarray(c, dtype=np.float64) for c in unary]
+        size = np.array([c.size for c in cands], dtype=np.int64) + 1
+        node = np.repeat(np.arange(n), size - 1)
+        raw = np.concatenate([np.zeros(0, np.int64), *cands], axis=None)
+        labels = np.where(raw == np.trunc(raw), raw.clip(-1, L), -1).astype(np.int64)
+        self.unary_flat = np.concatenate([np.zeros(0), *costs], axis=None)
+        _raise_first([
+            (node[(raw < 0) | (raw >= L)], "candidate label out of range"),
+            (node[labels != raw], "candidate label not an integer"),
+            (node[(np.diff(labels, prepend=0) <= 0) & (np.diff(node, prepend=-1) == 0)],
+             "candidate labels must be strictly increasing"),
+            ([u for u, (c, k) in enumerate(zip(costs, size.tolist())) if c.shape != (k,)],
+             "unary vector must have {} entries (dummy last)"),
+            (np.repeat(np.arange(n), [c.size for c in costs])[~np.isfinite(self.unary_flat)],
+             "non-finite unary cost")], lambda u, text: f"node {u}: " + text.format(size[u]))
 
-        labels, costs = [], []
-        for u in range(n):
-            cand = np.asarray(candidate_labels[u], dtype=np.int64)
-            if cand.size and (cand.min() < 0 or cand.max() >= num_labels):
-                raise ValueError(f"node {u}: candidate label out of range")
-            if cand.size and not np.all(np.diff(cand) > 0):
-                raise ValueError(f"node {u}: candidate labels must be strictly increasing")
-            cost = np.asarray(unary[u], dtype=np.float64)
-            if cost.shape != (cand.size + 1,):
-                raise ValueError(f"node {u}: unary vector must have {cand.size + 1} entries (dummy last)")
-            if not np.all(np.isfinite(cost)):
-                raise ValueError(f"node {u}: non-finite unary cost")
-            labels += [cand, [DUMMY]]
-            costs.append(cost)
-
-        size = np.array([c.size for c in costs], dtype=np.int64)
         self.offsets = np.concatenate(([0], np.cumsum(size)))
-        self.slot_labels = np.concatenate(labels or [np.zeros(0, np.int64)]).astype(np.int64)
-        self.unary_flat = np.concatenate(costs or [np.zeros(0)])
+        self.slot_labels = np.insert(labels, np.cumsum(size - 1), DUMMY)
         self.unary_flat.flags.writeable = False
         # node * (num_labels + 1) + label, the dummy as num_labels: sorted.
-        self.slot_keys = np.repeat(np.arange(n), size) * (self.num_labels + 1) + np.where(
-            self.slot_labels == DUMMY, self.num_labels, self.slot_labels)
+        self.slot_keys = np.repeat(np.arange(n) * (L + 1), size) + self.slot_labels % (L + 1)
 
-        self.edges = []
-        last = [0] * n
-        level, tables = [], []
-        for (u, v), table in sorted((pairwise or {}).items()):
-            if not (0 <= u < v < num_nodes):
-                raise ValueError(f"bad edge ({u}, {v}): need 0 <= u < v < num_nodes")
-            t = np.asarray(table, dtype=np.float64)
-            want = (int(size[u]), int(size[v]))
-            if t.shape != want:
-                raise ValueError(f"edge ({u}, {v}): table shape {t.shape}, expected {want}")
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"edge ({u}, {v}): non-finite pairwise cost")
-            self.edges.append((u, v))
-            level.append(max(last[u], last[v]))
-            last[u] = last[v] = level[-1] + 1
-            tables.append(t)
-        self._build_tables(tables, level)
+        items = sorted((pairwise or {}).items())
+        self.edges = [(operator.index(u), operator.index(v)) for (u, v), _ in items]
+        tables = [np.asarray(t, dtype=np.float64) for _, t in items]
+        self.edge_nodes = np.fromiter(itertools.chain(*self.edges), np.int64).reshape(-1, 2)
+        u, v = self.edge_nodes.T
+        bad = np.flatnonzero((u < 0) | (u >= v) | (v >= n))
+        want = list(zip(*np.append(size, 0)[self.edge_nodes.T.clip(-1, n)].tolist()))
+        wrong = [e for e, (t, w) in enumerate(zip(tables, want)) if t.shape != w]
+        if not (bad.size or wrong):
+            self._build_tables(tables)
+        # Costs are one mask over the built buffer, else checked table by table.
+        nonfinite = ([] if not (bad.size or wrong) and np.isfinite(self.table_buffer).all() else
+                     [e for e, t in enumerate(tables) if not np.isfinite(t).all()])
+        _raise_first([(bad, "bad edge ({}, {}): need 0 <= u < v < num_nodes"),
+                      (wrong, "edge ({}, {}): table shape {}, expected {}"),
+                      (nonfinite, "edge ({}, {}): non-finite pairwise cost")],
+                     lambda e, text: text.format(*self.edges[e], tables[e].shape, want[e]))
 
         # Every edge once from each end, sorted by (node, neighbour).
-        own = self.edge_nodes.T.ravel()
-        other = self.edge_nodes[:, ::-1].T.ravel()
+        own, other = np.append(u, v), np.append(v, u)
         order = np.lexsort((other, own))
         self.nbr_nodes = other[order]
         self.nbr_edges = np.tile(np.arange(len(self.edges)), 2)[order]
@@ -158,54 +164,49 @@ class Problem:
                                            return_inverse=True, return_counts=True)
         count = count[np.argsort(first)]
         self.label_starts = np.cumsum(count + 1) - count - 1
-        self.label_slots = np.full(owned.size + count.size, self.slot_labels.size)
-        self.label_slots[np.arange(owned.size) + np.repeat(np.arange(count.size), count)] = (
-            owned[np.argsort(first[label], kind="stable")])
+        self.label_slots = np.insert(owned[np.argsort(first[label], kind="stable")],
+                                     np.cumsum(count), self.slot_labels.size)
 
         self.cost_scale = max(float(max(c.max(initial=0.0), -c.min(initial=0.0)))
                               for c in (self.unary_flat, self.table_buffer))
 
-    def _build_tables(self, tables, level):
-        """Lay the float64 tables out in the read-only table buffer in
-        (level, shape) order, each run column by column, and build the
-        per-level batches and per-edge indices that address it."""
-        shape = [t.shape for t in tables]
-        order = sorted(range(len(tables)), key=lambda e: (level[e], shape[e], e))
-        self.table_buffer = np.empty(sum(t.size for t in tables))
-        self.edge_nodes = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-
-        # edge_rank[e]: position of edge e in buffer order.  Cell (i, j) of
-        # edge e is table_buffer[edge_start[e] + i + j * edge_stride[e]].
-        self.edge_rank = np.empty(len(order), dtype=np.int64)
-        self.edge_rank[order] = np.arange(len(order))
-        self.edge_start = np.empty(len(order), dtype=np.int64)
-        self.edge_stride = np.empty(len(order), dtype=np.int64)
+    def _build_tables(self, tables):
+        """Level the edges, lay the tables out in the read-only table buffer
+        and build the per-level batches and per-edge indices that address it."""
+        last, level = [0] * self.num_nodes, []
+        for u, v in self.edges:
+            level.append(last[u] if last[u] > last[v] else last[v])
+            last[u] = last[v] = level[-1] + 1
+        # Buffer order sorts the edges by key = (level, a, b).  The edge at its
+        # position p is the i[p]-th of a run of g[p] that starts at first[p].
+        key = np.array([level, *np.diff(self.offsets)[self.edge_nodes.T]], dtype=np.int64)
+        order = np.lexsort(key[::-1])
+        rank = self.edge_rank = np.argsort(order)
+        _, a, b = key = key[:, order]
+        new = np.diff(key, prepend=-1).any(0)
+        head, run = np.flatnonzero(new), np.cumsum(new) - 1
+        first, g, i = head[run], np.bincount(run)[run], np.arange(run.size) - head[run]
+        cell, msg = np.cumsum([np.append(0, a * b), np.append(0, a + b)], axis=1)
+        self.edge_start, self.edge_stride = (cell[first] + a * i)[rank], (g * a)[rank]
+        self.msg_start = (msg[first, None] + np.column_stack((a * i, g * a + b * i)))[rank]
+        self.table_buffer = np.empty(cell[-1])
+        slot = self.offsets[self.edge_nodes[order]]
+        cell, msg, order, head, (lev, a, b) = (x.tolist() for x in (cell, msg, order, head, key))
+        self.msg_size = msg[-1]
 
         # One batch per level, one entry per table shape in it: the (G, a, b)
         # tables, a view of a C-contiguous (b, G, a) block, the (G, a) slots
         # of the u endpoints and the (G, b) slots of the v endpoints, and the
         # offsets of the (G, a) u-side and (G, b) v-side message blocks.
         self.batches = [[] for _ in range(max(level, default=-1) + 1)]
-        self.msg_start = np.empty((len(order), 2), dtype=np.int64)
-        msg = cell = 0
-        for (lev, (a, b)), run in itertools.groupby(order, key=lambda e: (level[e], shape[e])):
-            run = list(run)
-            g = len(run)
-            block = self.table_buffer[cell:cell + g * a * b].reshape(b, g, a)
-            np.concatenate([tables[e].T for e in run], axis=1, out=block.reshape(b, g * a))
+        for s, t in zip(head, head[1:] + [len(order)]):
+            block = self.table_buffer[cell[s]:cell[t]].reshape(b[s], t - s, a[s])
+            np.concatenate([tables[e] for e in order[s:t]], out=block.reshape(b[s], -1).T)
             block.flags.writeable = False
-            ends = self.edge_nodes[run]
-            self.batches[lev].append((block.transpose(1, 2, 0),
-                                      self.offsets[ends[:, :1]] + np.arange(a),
-                                      self.offsets[ends[:, 1:]] + np.arange(b), msg, msg + g * a))
-            self.edge_start[run] = cell + a * np.arange(g)
-            self.edge_stride[run] = g * a
-            self.msg_start[run, 0] = msg + a * np.arange(g)
-            self.msg_start[run, 1] = msg + g * a + b * np.arange(g)
-            msg += g * (a + b)
-            cell += g * a * b
+            self.batches[lev[s]].append((
+                block.transpose(1, 2, 0), slot[s:t, :1] + np.arange(a[s]),
+                slot[s:t, 1:] + np.arange(b[s]), msg[s], msg[s] + (t - s) * a[s]))
         self.table_buffer.flags.writeable = False
-        self.msg_size = msg
 
     def slots(self, x):
         """Flat slot of every node's label in assignment x; ValueError
@@ -218,9 +219,8 @@ class Problem:
         slots = np.searchsorted(self.slot_keys, keys)
         found = self.slot_keys[np.minimum(slots, self.slot_keys.size - 1)] == keys
         bad = np.flatnonzero(~(found & ((x == DUMMY) | ((x >= 0) & (x < L)))))
-        if bad.size:
-            u = int(bad[0])
-            raise ValueError(f"node {u}: label {x[u]} not in its candidate set")
+        _raise_first([(bad, "label {} not in its candidate set")],
+                     lambda u, text: f"node {u}: " + text.format(x[u]))
         return slots
 
     def __repr__(self):

@@ -156,6 +156,58 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             qf.Problem(*args)
 
+    @pytest.mark.parametrize("args,message", [
+        ((1, 2, [np.array([1.9])], [[1.0, 0.0]]), "node 0: candidate label not an integer"),
+        ((1, 2, [[0.5]], [[1.0, 0.0]]), "node 0: candidate label not an integer"),
+        ((2, 3, [[0], [1, np.nan]], [[1.0, 0.0], [1.0, 2.0, 0.0]]),
+         "node 1: candidate label not an integer"),
+        ((1, 2, [[np.inf]], [[1.0, 0.0]]), "node 0: candidate label out of range"),
+        ((1, 2.5, [[0]], [[1.0, 0.0]]), "not integers: 1, 2.5"),
+        ((1.5, 2, [[0]], [[1.0, 0.0]]), "not integers: 1.5, 2"),
+    ])
+    def test_constructor_rejects_non_integers(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            qf.Problem(*args)
+
+    def test_integral_floats_build_the_bytes_of_ints(self):
+        as_ints = qf.Problem(2, 3, [[0, 2], [1]], [[1.0, 2.0, 0.0], [3.0, 0.0]],
+                             {(0, 1): np.arange(6.0).reshape(3, 2)})
+        as_floats = qf.Problem(2.0, np.float64(3), [np.array([0.0, 2.0]), [1.0]],
+                               [[1.0, 2.0, 0.0], [3.0, 0.0]], {(0, 1): np.arange(6.0).reshape(3, 2)})
+        assert (as_floats.num_nodes, as_floats.num_labels) == (2, 3)
+        assert same_problem_bytes(as_floats, as_ints)
+
+    def test_edges_are_python_int_pairs(self):
+        p = qf.Problem(2, 1, [[0], [0]], [[0.0, 0.0]] * 2,
+                       {(np.int64(0), np.int64(1)): np.zeros((2, 2))})
+        assert p.edges == [(0, 1)]
+        assert all(type(end) is int for edge in p.edges for end in edge)
+
+    # The first failing node, in node order, is reported with its first
+    # failing check; nodes come before edges, and edges go in sorted order.
+    @pytest.mark.parametrize("args,message", [
+        ((3, 2, [[0], [2], [1]], [[1.0, 0.0], [1.0, 0.0], [np.nan, 0.0]]),
+         "node 1: candidate label out of range"),
+        ((3, 2, [[0], [0], [3]], [[1.0, 0.0], [np.inf, 0.0], [1.0, 0.0]]),
+         "node 1: non-finite unary cost"),
+        ((3, 2, [[0], [1], [0]], [[0.0, 0.0]] * 3,
+          {(1, 2): np.zeros((3, 2)), (0, 1): [[np.nan, 0.0], [0.0, 0.0]]}),
+         r"edge \(0, 1\): non-finite pairwise cost"),
+        ((3, 2, [[0], [1], [0]], [[0.0, 0.0]] * 3,
+          {(1, 2): np.full((2, 2), np.inf), (0, 2): np.zeros((2, 3)), (0, 5): np.zeros((2, 2))}),
+         r"edge \(0, 2\): table shape \(2, 3\), expected \(2, 2\)"),
+        ((3, 2, [[0], [1], [0]], [[0.0, 0.0]] * 3,
+          {(1, 2): np.full((2, 2), np.nan), (0, 1): np.zeros((2, 2)),
+           (0, 2): [[0.0, 0.0], [0.0, -np.inf]]}),
+         r"edge \(0, 2\): non-finite pairwise cost"),
+        ((3, 2, [[0], [1], [0]], [[0.0, 0.0], [0.0, 0.0], [0.0, np.nan]],
+          {(0, 1): np.zeros((3, 3))}),
+         "node 2: non-finite unary cost"),
+    ])
+    def test_constructor_reports_the_first_failure(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            qf.Problem(*args)
+
     def test_nested_lists_build_the_bytes_of_arrays(self):
         rng = np.random.default_rng(29)
         for trial in range(40):
