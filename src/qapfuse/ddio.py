@@ -17,7 +17,9 @@ as Python's ``int`` and ``float`` read them.
 `parse_dd` reads the stream in chunks of lines, each kind's lines with
 numpy's C text reader, which reads a subset of that grammar to the same
 values.  A chunk it refuses, or that breaks a rule, is read again a line
-at a time, which reads it or words its first bad line's error.
+at a time, which reads it or words its first bad line's error.  The
+checks that need the whole file run a chunk at a time and the columns are
+joined one by one, so that a load holds a few per-term arrays at most.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.
@@ -167,7 +169,8 @@ def _fields(lines, kind, width):
     # numpy drops a NUL that ends a field, where Python keeps it.
     if len(rows) != len(lines) or (rows["f0"] != kind).any() or "\0" in "".join(lines):
         return None
-    return [rows[name] for name in dtype.names[1:]]
+    # Copies, so that the rows, kind field and all, are freed with the chunk.
+    return [rows[name].copy() for name in dtype.names[1:]]
 
 
 def _header(fields):
@@ -289,7 +292,7 @@ def parse_dd(source):
         chunk = _read_chunk(lines, header, seen) or _read_lines(lines, first, header, seen)
         header, seen, chunk_assignments, chunk_terms, e_at = chunk
         assignments.append(chunk_assignments)
-        terms.append(chunk_terms + [first + e_at])
+        terms.append(chunk_terms + [first, e_at.astype(np.uint32)])
         first += len(lines)
 
     # The checks that need the whole file.
@@ -299,26 +302,24 @@ def parse_dd(source):
     ids, left, right, cost = (np.concatenate(c) for c in zip(*assignments))
     if ids.size != n_assign:
         raise ParseError(f"header promises {n_assign} assignments, found {ids.size}")
-    id1, id2, pair_cost, term_lines = (np.concatenate(c) for c in zip(*terms))
-    if id1.size != n_pair:
-        raise ParseError(f"header promises {n_pair} pairwise terms, found {id1.size}")
+    if (found := sum(chunk[0].size for chunk in terms)) != n_pair:
+        raise ParseError(f"header promises {n_pair} pairwise terms, found {found}")
 
-    # The ids are now a permutation of range(n_assign).
+    # The ids are now a permutation of range(n_assign); an id out of range,
+    # clipped to -1 or n_assign, finds the left point -1.
     order = np.argsort(ids)
-    left_of = left[order]
-    unknown1, unknown2 = (id1 < 0) | (id1 >= n_assign), (id2 < 0) | (id2 >= n_assign)
-    known = ~(unknown1 | unknown2)
-    same = np.zeros(id1.size, dtype=bool)
-    same[known] = (left_of[id1[known].astype(np.int64)]
-                   == left_of[id2[known].astype(np.int64)])
-    bad = np.flatnonzero(unknown1 | unknown2 | same)
-    if bad.size:
-        k = bad[0]
-        line = int(term_lines[k])
-        if same[k]:
-            raise ParseError("pairwise term joins two assignments of the same left point", line)
-        aid = int(id1[k] if unknown1[k] else id2[k])
-        raise ParseError(f"pairwise term references unknown assignment id {aid}", line)
+    left_of = np.append(left[order], -1)
+    for *ends, _, start, at in terms:
+        e1, e2 = (left_of[np.clip(c, -1, n_assign).astype(np.int64, copy=False)] for c in ends)
+        bad = np.flatnonzero((e1 == e2) | (np.minimum(e1, e2) < 0))
+        if bad.size:
+            (a, b), line = (int(c[bad[0]]) for c in ends), start + int(at[bad[0]])
+            if 0 <= a < n_assign and 0 <= b < n_assign:
+                raise ParseError("pairwise term joins two assignments of the same left point", line)
+            raise ParseError("pairwise term references unknown assignment id "
+                             f"{b if 0 <= a < n_assign else a}", line)
+    # Each chunk's piece of a column is dropped as the column is joined.
+    id1, id2, pair_cost = (np.concatenate([chunk.pop(0) for chunk in terms]) for _ in range(3))
     return DdInstance(n_left, n_right,
                       _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)], header),
                       _Records(DdPairwiseTerm, [id1, id2, pair_cost], header))
@@ -378,18 +379,25 @@ def to_problem(instance):
     unary = [flat[start[u] + u:start[u + 1] + u + 1] for u in range(n)]
 
     # parse_dd checked that the two ends of every term are different nodes.
-    row = np.column_stack((id1, id2))
-    ends, slot = left[row], rank[row]
-    flip = ends[:, 0] > ends[:, 1]
-    ends[flip], slot[flip] = ends[flip, ::-1], slot[flip, ::-1]
-
-    keys, edge = np.unique(ends[:, 0] * n + ends[:, 1], return_inverse=True)
-    u, v = np.divmod(keys, n)
+    # ``term`` is in turn each term's edge key, its edge and its table cell.
+    flip = left[id1] > left[id2]
+    term = left[np.where(flip, id2, id1)] * n + left[np.where(flip, id1, id2)]
+    # Edges in key order: sort the keys, then number each run of one key.
+    perm = np.argsort(term)
+    term = term[perm]
+    heads = np.flatnonzero(np.append(term.size > 0, term[1:] != term[:-1]))
+    u, v = np.divmod(term[heads], n)
+    term[perm] = np.repeat(np.arange(heads.size), np.diff(heads, append=term.size))
+    del perm
     rows, cols = size[u] + 1, size[v] + 1
     at = np.concatenate(([0], np.cumsum(rows * cols)))
+    # Cell at[edge] + row * cols[edge] + col; the lower node's rank is the row.
+    term = rank[np.where(flip, id2, id1)] * cols[term] + at[term]
+    term += rank[np.where(flip, id1, id2)]
     # One buffer for every table; add.at adds repeated terms in file order.
     buffer = np.zeros(at[-1])
-    np.add.at(buffer, at[edge] + slot[:, 0] * cols[edge] + slot[:, 1], pair_cost)
+    np.add.at(buffer, term, pair_cost)
+    del term, flip
     tables = {(a, b): buffer[s:e].reshape(h, w) for a, b, s, e, h, w in zip(
         u.tolist(), v.tolist(), at[:-1].tolist(), at[1:].tolist(), rows.tolist(), cols.tolist())}
     return Problem(n, instance.n_right, cand, unary, tables)

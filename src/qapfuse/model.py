@@ -210,17 +210,20 @@ class Problem:
 
     def slots(self, x):
         """Flat slot of every node's label in assignment x; ValueError
-        unless x is a domain-valid assignment."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape != (self.num_nodes,):
+        unless x is a domain-valid assignment of integral labels."""
+        raw = np.asarray(x)
+        if raw.shape != (self.num_nodes,):
             raise ValueError(f"assignment must have {self.num_nodes} entries")
         L = self.num_labels
+        # A label with a fractional part, or out of range, becomes -2, no label.
+        x = raw.astype(np.int64) if raw.dtype.kind in "bi" else np.where(
+            raw == np.trunc(raw), raw.clip(-2, L), -2).astype(np.int64)
         keys = np.arange(self.num_nodes) * (L + 1) + np.where(x == DUMMY, L, x)
         slots = np.searchsorted(self.slot_keys, keys)
         found = self.slot_keys[np.minimum(slots, self.slot_keys.size - 1)] == keys
         bad = np.flatnonzero(~(found & ((x == DUMMY) | ((x >= 0) & (x < L)))))
-        _raise_first([(bad, "label {} not in its candidate set")],
-                     lambda u, text: f"node {u}: " + text.format(x[u]))
+        _raise_first([(bad, "label {} not in its candidate set")], lambda u, text: f"node {u}: " + (
+            text if raw[u] == np.trunc(raw[u]) else "label {} not an integer").format(raw[u]))
         return slots
 
     def __repr__(self):
@@ -234,10 +237,9 @@ def all_dummy(problem):
 
 
 def validate_assignment(problem, x):
-    """Raise ValueError unless x is a domain-valid assignment array."""
-    x = np.asarray(x, dtype=np.int64)
+    """Raise ValueError unless x is a domain-valid assignment; return it as int64."""
     problem.slots(x)
-    return x
+    return np.asarray(x, dtype=np.int64)
 
 
 def energy(problem, x):

@@ -1,5 +1,7 @@
 import importlib.util
 import io
+import itertools
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -409,6 +411,42 @@ class TestLoaderAgainstLineOracle:
             assert not isinstance(_assert_same_outcome(_render(rng, lines)), tuple)
         assert odd > 2000
 
+    @pytest.mark.parametrize("order", ["grouped", "reversed", "interleaved", "shuffled"])
+    def test_every_term_order_builds_the_oracles_problem(self, order):
+        # The same terms in four orders.  Each edge comes back in a second
+        # run that repeats some of its (id1, id2) pairs, after the first run
+        # of every edge; costs of many magnitudes make the order of the sums
+        # show.
+        rng = np.random.default_rng(77)
+        pairs = [(u, s) for u in range(6) for s in range(5) if rng.random() < 0.8]
+        ids = rng.permutation(len(pairs)).tolist()
+
+        def cost():
+            return repr(float(rng.normal() * 10.0 ** rng.integers(-8, 9)))
+
+        runs = {}
+        for (i, (u, _)), (j, (v, _)) in itertools.combinations(enumerate(pairs), 2):
+            if u != v and rng.random() < 0.6:
+                ends = [ids[i], ids[j]] if rng.random() < 0.5 else [ids[j], ids[i]]
+                runs.setdefault((u, v), []).append(ends)
+        edges = sorted(runs)
+        first = [[[*ends, cost()] for ends in runs[e]] for e in edges]
+        again = [[[*ends, cost()] for ends in runs[e] if rng.random() < 0.5] for e in edges]
+        if order == "reversed":
+            first, again = first[::-1], again[::-1]
+        if order == "interleaved":
+            terms = [t for group in (first, again)
+                     for row in itertools.zip_longest(*group) for t in row if t]
+        else:
+            terms = [t for group in (first, again) for run in group for t in run]
+        if order == "shuffled":
+            terms = [terms[k] for k in rng.permutation(len(terms))]
+        assert len(edges) == 15 and len(terms) > 2 * sum(map(len, again)) > 100
+        lines = ([f"p 6 5 {len(pairs)} {len(terms)}"]
+                 + [f"a {aid} {u} {s} {cost()}" for aid, (u, s) in zip(ids, pairs)]
+                 + [f"e {id1} {id2} {c}" for id1, id2, c in terms])
+        assert not isinstance(_assert_same_outcome("\n".join(lines) + "\n"), tuple)
+
     def test_mutated_files_raise_the_same_errors(self, monkeypatch):
         rng = np.random.default_rng(72)
         lines_past_first_chunk = errors_after_an_e_line = 0
@@ -516,6 +554,46 @@ def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     assert refused == []
     assert len(inst.assignments) + len(inst.pairwise_terms) + 1 == text.count("\n")
     assert [c.dtype for c in inst.pairwise_terms.columns] == [np.int64, np.int64, np.float64]
+
+
+def _grid_text(n):
+    """A `.dd` text in which each of n nodes has every one of n labels and
+    each two nodes are joined by a term for every two of their labels."""
+    rng = np.random.default_rng(78)
+    grid = list(itertools.product(range(n), repeat=2))
+    terms = [(u * n + s, v * n + t) for u, v in itertools.combinations(range(n), 2)
+             for s, t in grid]
+    costs = iter(rng.normal(size=len(grid) + len(terms)).tolist())
+    lines = ([f"p {n} {n} {n * n} {len(terms)}"]
+             + [f"a {u * n + s} {u} {s} {next(costs)!r}" for u, s in grid]
+             + [f"e {a} {b} {next(costs)!r}" for a, b in terms])
+    return "\n".join(lines) + "\n"
+
+
+def test_loading_holds_a_few_per_term_arrays(monkeypatch):
+    # Small chunks, so that a chunk's own lines weigh little beside the
+    # columns kept.  At 4,096 lines a chunk, parse_dd peaked at 1.8 times
+    # the bytes of its columns and to_problem at 2.2 times those of its
+    # Problem's arrays.
+    monkeypatch.setattr(ddio, "_CHUNK_LINES", 4096)
+    text = _grid_text(20)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        inst = qf.parse_dd(text)
+        parse_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        problem = qf.to_problem(inst)
+        build_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    columns = sum(c.nbytes for c in (*inst.assignments.columns, *inst.pairwise_terms.columns))
+    arrays = sum(a.nbytes for a in vars(problem).values() if isinstance(a, np.ndarray))
+    assert len(inst.pairwise_terms) == 76_000
+    assert parse_peak < 2.5 * columns
+    assert build_peak < 3 * arrays
 
 
 # Token forms for the grammar property test.  Costs: halfway and

@@ -125,6 +125,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             qf.validate_assignment(p, [0])
 
+    # A label with a fractional part is refused, not cut to its integer
+    # part, and a uint64 label is not wrapped round to a signed one; the
+    # lowest failing node is reported.
+    @pytest.mark.parametrize("x,message", [
+        ([0.7, -1.0], "node 0: label 0.7 not an integer"),
+        ([0.5, 0.4], "node 0: label 0.5 not an integer"),
+        ([1.0, -0.5], r"node 1: label -0.5 not an integer"),
+        ([np.nan, 0.0], "node 0: label nan not an integer"),
+        ([3.0, 0.5], r"node 0: label 3.0 not in its candidate set"),
+        (np.array([1.0, 1e300]), "node 1: label 1e\\+300 not in its candidate set"),
+        (np.array([1, 2 ** 64 - 1], np.uint64), f"node 1: label {2 ** 64 - 1} not in its candidate"),
+    ])
+    def test_rejects_non_integral_labels(self, x, message):
+        for check in (qf.validate_assignment, qf.energy, qf.is_feasible):
+            with pytest.raises(ValueError, match=message):
+                check(self.PROBLEM, x)
+
+    @pytest.mark.parametrize("x", [[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], np.array([-1.0, -1.0])])
+    def test_integral_floats_read_as_ints(self, x):
+        ints = np.asarray(x).astype(np.int64)
+        read = qf.validate_assignment(self.PROBLEM, x)
+        assert read.dtype == np.int64 and np.array_equal(read, ints)
+        assert qf.energy(self.PROBLEM, x) == qf.energy(self.PROBLEM, ints)
+        assert qf.is_feasible(self.PROBLEM, x) == qf.is_feasible(self.PROBLEM, ints)
+
     def test_costs_are_read_only(self):
         p = self.PROBLEM
         with pytest.raises(ValueError):
