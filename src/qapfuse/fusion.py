@@ -21,11 +21,13 @@ difference of any two labelings, scales with the costs, and costs between
 folded nodes do not touch it.
 
 The auxiliary problem is solved either exactly (enumeration of the
-feasible decodes, the desk-scale oracle) or by roof duality plus a seeded
-1-swap improvement pass ("qpbo-i").  Either way the result is feasible and
-never worse than x1 (nor than x2 when x2 is feasible): one active penalty
-exceeds any possible energy difference, so the final energy check can
-always fall back to x1.
+feasible decodes, the desk-scale oracle) or by roof duality plus a
+seeded 1-swap descent ("qpbo-i").  Either way the result is feasible and
+never worse than x1 (nor than x2 when x2 is feasible): one active
+penalty exceeds any possible energy difference, so the final energy
+check can always fall back to x1.  A qpbo-i fusion is *settled* when the
+descent's first pass flips nothing: its result then depends on (x1, x2)
+alone, and a memo can answer a repeat (see :func:`fuse`).
 
 :func:`count_bound` bounds the number of feasible solutions of the
 auxiliary problem: with m dummies and n distinct non-dummy labels in the
@@ -42,6 +44,7 @@ from .qpbo import roof_duality
 MAX_EXACT_VARIABLES = 20
 _COUNT_SATURATION = 2**63 - 1
 _IMPROVE_ROUNDS = 3  # passes of qpbo-i's 1-swap descent
+_MEMO_ENTRIES = 128  # settled fusions a memo keeps (dense repeats came <= 98 apart)
 
 
 @dataclass
@@ -89,8 +92,8 @@ class FusionProblem:
 
 def build_fusion(problem, x1, x2):
     """Construct the auxiliary problem for fusing feasible x1 with x2."""
-    x1, x2 = np.asarray(x1, dtype=np.int64), np.asarray(x2, dtype=np.int64)
     slots = np.stack((problem.slots(x1), problem.slots(x2)))  # validates both
+    x1, x2 = np.asarray(x1, dtype=np.int64), np.asarray(x2, dtype=np.int64)
     if not labels_distinct(x1):
         raise ValueError("fusion requires a feasible incumbent")
 
@@ -191,18 +194,28 @@ def penalty_free_labelings(fp):
 
 
 def _improve(fp, bits, rng):
-    """Seeded 1-swap descent on the binary energy (penalties included), on
-    flat lists of numbers (no containers for the garbage collector to walk):
-    variable i's pairs, in pair order, are the entries ``start[i]:start[i +
-    1]``, and entry q reads ``cells[base[q] + 2 * bits[i] + bits[other[q]]]``,
-    its table turned to put i's bit first."""
+    """Seeded 1-swap descent on the binary energy (penalties included) over
+    flat lists (no containers for the garbage collector to walk); returns
+    the bits and whether they are settled.  Numpy decides that first,
+    summing each first-pass delta in the loop's order down zero-padded rows
+    (no pairwise sums).  Variable i's pairs, in pair order, are entries
+    ``start[i]:start[i + 1]``; entry q reads cell ``base[q] + 2 * bits[i] +
+    bits[other[q]]`` of its table turned to put i's bit first."""
     k, count = fp.num_variables, len(fp.pairs)
-    unary, bits = fp.unary.ravel().tolist(), bits.tolist()
-    cells = np.concatenate((fp.tables, fp.tables.transpose(0, 2, 1))).ravel().tolist()
     order = np.argsort(fp.pairs.ravel(), kind="stable")
-    other = fp.pairs[:, ::-1].ravel()[order].tolist()
-    base = (4 * (np.arange(count)[:, None] + [0, count])).ravel()[order].tolist()
-    start = np.searchsorted(fp.pairs.ravel()[order], np.arange(k + 1)).tolist()
+    owner, other = fp.pairs.ravel()[order], fp.pairs[:, ::-1].ravel()[order]
+    base = (4 * (np.arange(count)[:, None] + [0, count])).ravel()[order]
+    start = np.searchsorted(owner, np.arange(k + 1))
+    cells = np.concatenate((fp.tables, fp.tables.transpose(0, 2, 1))).ravel()
+    now = base + bits[other] + 2 * bits[owner]  # ^ 2 flips i's bit
+    rows = np.zeros((np.diff(start).max(initial=0) + 1, k))
+    rows[0] = fp.unary[np.arange(k), 1 - bits] - fp.unary[np.arange(k), bits]
+    rows[1 + np.arange(2 * count) - start[owner], owner] = cells[now ^ 2] - cells[now]
+    if not np.any(np.add.accumulate(rows)[-1] < 0.0):
+        rng.permutation(k)
+        return bits, True
+    unary, bits, cells = fp.unary.ravel().tolist(), bits.tolist(), cells.tolist()
+    other, base, start = other.tolist(), base.tolist(), start.tolist()
     for _ in range(_IMPROVE_ROUNDS):
         changed = False
         for i in rng.permutation(k).tolist():
@@ -216,10 +229,10 @@ def _improve(fp, bits, rng):
                 changed = True
         if not changed:
             break
-    return np.array(bits, dtype=np.int64)
+    return np.array(bits, dtype=np.int64), False
 
 
-def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
+def fuse(problem, x1, x2, mode="qpbo-i", rng=0, *, memo=None):
     """Fuse feasible x1 with arbitrary x2; the result is feasible and its
     energy is <= energy(x1), and <= energy(x2) whenever x2 is feasible.
 
@@ -228,10 +241,19 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
     better reference labeling, and then a seeded 1-swap descent; it makes
     the comparison with x1 on the auxiliary problem's energy, which equals
     energy() up to rounding for feasible decodes, and so evaluates no energy.
+
+    ``memo``, a caller's dict for one problem, keeps the newest
+    ``_MEMO_ENTRIES`` settled "qpbo-i" results by the bytes of x1 and x2; a
+    hit draws the descent's one permutation and returns a copy.
     """
     if mode not in ("qpbo-i", "exact"):
         raise ValueError(f"unknown fusion mode {mode!r}")
     rng = np.random.default_rng(rng)
+    if memo and mode == "qpbo-i":
+        x1, x2 = validate_assignment(problem, x1), validate_assignment(problem, x2)
+        if (key := x1.tobytes() + x2.tobytes()) in memo:
+            rng.permutation(memo[key][1])
+            return memo[key][0].copy()
     fp = build_fusion(problem, x1, x2)
     if fp.num_variables == 0:
         return fp.incumbent
@@ -245,8 +267,12 @@ def fuse(problem, x1, x2, mode="qpbo-i", rng=0):
     start = fp.binary_energy(zeros)
     # The all-ones labeling decodes to the proposal.
     reference = int(labels_distinct(fp.proposal) and fp.binary_energy(zeros + 1) < start)
-    bits = _improve(fp, np.where(result.labels >= 0, result.labels, reference), rng)
+    bits, settled = _improve(fp, np.where(result.labels >= 0, result.labels, reference), rng)
     fused = fp.decode(bits)
     if not labels_distinct(fused) or fp.binary_energy(bits) > start:
-        return fp.incumbent
+        fused = fp.incumbent
+    if settled and memo is not None:
+        if len(memo) >= _MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+        memo[fp.incumbent.tobytes() + fp.proposal.tobytes()] = (fused.copy(), fp.num_variables)
     return fused

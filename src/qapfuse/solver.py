@@ -4,10 +4,12 @@ Each batch runs a fixed number of ascent sweeps; between the edge phase
 and the node/label phase of every sweep the solver makes proposals with
 the configured primal heuristic (randomized greedy on reparametrized
 costs, or the exact assignment-side LAP solution, solved once per sweep)
-and fuses each one into the incumbent at once.  The incumbent's energy is
-non-increasing, the dual bound non-decreasing, and the run stops on batch
-count, wall-clock budget, or a proved optimum (gap below 1e-6 of the
-larger of |energy| and the largest cost magnitude).
+and fuses each one into the incumbent at once, remembering settled
+fusions in a memo (see :mod:`~qapfuse.fusion`) that is emptied whenever
+the incumbent improves.  The incumbent's energy is non-increasing, the
+dual bound non-decreasing, and the run stops on batch count, wall-clock
+budget, or a proved optimum (gap below 1e-6 of the larger of |energy|
+and the largest cost magnitude).
 
 Traces are deterministic given the seed: elapsed time in trace records is
 a work-proportional virtual clock by default (so identical runs produce
@@ -89,6 +91,7 @@ def solve(problem, config=None, *, trace_clock=None):
     work = 0.0
     trace = []
     state = DualState.initial(problem)
+    memo = {}  # settled fusions of the current incumbent (see fuse)
 
     def record(event, best, units):
         """Advance the virtual clock by ``units`` of work, then log the event."""
@@ -122,11 +125,12 @@ def solve(problem, config=None, *, trace_clock=None):
             if config.primal_heuristic == "greedy":
                 proposal = greedy_assignment(problem, rng, state.repar, adjusted)
             record(config.primal_heuristic, best_energy, unary_work + pair_work / 4)
-            fused = fuse(problem, incumbent, proposal, mode=config.fusion_mode, rng=rng)
+            fused = fuse(problem, incumbent, proposal, config.fusion_mode, rng, memo=memo)
             fused_energy = energy(problem, fused)
             improved = fused_energy < best_energy
             if improved:
                 incumbent, best_energy = fused, fused_energy
+                memo.clear()
             record("improved" if improved else "fusion", best_energy, fusion_work)
         return adjusted  # the sweep's bound reads it
 

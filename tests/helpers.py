@@ -449,6 +449,50 @@ def scaled_problem(problem, scale):
                    {e: t * scale for e, t in pairwise_tables(problem).items()})
 
 
+def signed_zero_copy(problem, rng, share=0.3):
+    """The same instance with a random share of its unary and table cells
+    replaced by -0.0."""
+    def flip(values):
+        values = np.array(values, dtype=float)
+        values[rng.random(values.shape) < share] = -0.0
+        return values
+
+    n = problem.num_nodes
+    return Problem(n, problem.num_labels, [candidates(problem, u) for u in range(n)],
+                   [flip(unary_costs(problem, u)) for u in range(n)],
+                   {e: flip(t) for e, t in pairwise_tables(problem).items()})
+
+
+def improve_by_loops(fp, bits, rng, rounds=3):
+    """Reference seeded 1-swap descent on a fusion problem's binary energy
+    (penalties included): up to ``rounds`` passes, each over one
+    ``rng.permutation(k)`` of the variables, flipping a variable when its
+    delta (the unary difference, then each of its pairs' table differences
+    in pair order) is negative, and stopping after a pass that flips
+    nothing.  Returns the bits as int64."""
+    k = len(fp.unary)
+    bits = [int(b) for b in bits]
+    mine = [[] for _ in range(k)]  # (pair row, is i the pair's first variable)
+    for p, (i, j) in enumerate(fp.pairs.tolist()):
+        mine[i].append((p, j, True))
+        mine[j].append((p, i, False))
+    for _ in range(rounds):
+        changed = False
+        for i in rng.permutation(k).tolist():
+            old, new = bits[i], 1 - bits[i]
+            delta = float(fp.unary[i][new]) - float(fp.unary[i][old])
+            for p, other, first in mine[i]:
+                table = fp.tables[p] if first else fp.tables[p].T
+                b = bits[other]
+                delta += float(table[new][b]) - float(table[old][b])
+            if delta < 0.0:
+                bits[i] = new
+                changed = True
+        if not changed:
+            break
+    return np.array(bits, dtype=np.int64)
+
+
 def geometric_matching_instance(seed, n=12, noise=0.05, outliers=2):
     """Keypoint-matching style instance: two 2D point clouds related by a
     rigid motion plus noise, pairwise costs rewarding distance-preserving

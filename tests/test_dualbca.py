@@ -13,10 +13,10 @@ from helpers import (
     matching_cost,
     message_sum,
     neighbors,
-    pairwise_tables,
     random_problem,
     random_reparametrization,
     scaled_problem,
+    signed_zero_copy,
     unary_costs,
 )
 
@@ -299,20 +299,6 @@ class TestSweep:
             x = random_assignment(p, rng)
             e = qf.energy(p, x)
             assert identity_total(p, st.repar, x) == pytest.approx(e, rel=1e-9, abs=1e-9)
-
-
-def signed_zero_copy(problem, rng, share=0.3):
-    """The same instance with a random share of its unary and table cells
-    replaced by -0.0."""
-    def flip(values):
-        values = np.array(values, dtype=float)
-        values[rng.random(values.shape) < share] = -0.0
-        return values
-
-    n = problem.num_nodes
-    return qf.Problem(n, problem.num_labels, [candidates(problem, u) for u in range(n)],
-                      [flip(unary_costs(problem, u)) for u in range(n)],
-                      {e: flip(t) for e, t in pairwise_tables(problem).items()})
 
 
 def assert_sweeps_match_reference(problem, state, sweeps=4):

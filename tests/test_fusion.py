@@ -8,6 +8,7 @@ from helpers import (
     brute_force_optimum,
     candidates,
     feasible_by_pairwise_scan,
+    improve_by_loops,
     local_index,
     neighbors,
     pair_cost,
@@ -17,6 +18,7 @@ from helpers import (
     random_problem,
     restricted_space_optimum,
     scaled_problem,
+    signed_zero_copy,
     unary_costs,
 )
 
@@ -392,3 +394,155 @@ class TestFuse:
         a = qf.fuse(p, x1, x2, mode="qpbo-i", rng=7)
         b = qf.fuse(p, x1, x2, mode="qpbo-i", rng=7)
         assert np.array_equal(a, b)
+
+
+def fractional_label_problem():
+    return qf.Problem(2, 2, [[0, 1], [0, 1]],
+                      [np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.0, 3.0])],
+                      {(0, 1): np.arange(9.0).reshape(3, 3)})
+
+
+class TestFractionalLabels:
+    @pytest.mark.parametrize("x1, x2", [([0.7, -1.0], [1, 0]), ([0, -1], [1.5, 0]),
+                                        ([-1, 0], [1.5, 0])])
+    def test_fuse_refuses_a_label_with_a_fractional_part(self, x1, x2):
+        p = fractional_label_problem()
+        for mode in ("qpbo-i", "exact"):
+            # A memo with an entry is looked up, so fuse validates first.
+            for memo in (None, {}, {b"": (np.zeros(2, dtype=np.int64), 2)}):
+                with pytest.raises(ValueError, match="not an integer"):
+                    qf.fuse(p, x1, x2, mode=mode, memo=memo)
+
+    @pytest.mark.parametrize("x1, x2", [([-1, 0], [1.5, 0]), ([0.5, -1], [1, 0])])
+    def test_build_fusion_refuses_a_label_with_a_fractional_part(self, x1, x2):
+        with pytest.raises(ValueError, match="not an integer"):
+            qf.build_fusion(fractional_label_problem(), x1, x2)
+
+    def test_integral_floats_fuse_as_their_integers(self):
+        p = fractional_label_problem()
+        for mode in ("qpbo-i", "exact"):
+            assert np.array_equal(qf.fuse(p, [0.0, -1.0], [1.0, 0.0], mode=mode),
+                                  qf.fuse(p, [0, -1], [1, 0], mode=mode))
+        fp = qf.build_fusion(p, [-1.0, 0.0], [1.0, 0.0])
+        assert fp.proposal.dtype == np.int64 and fp.proposal.tolist() == [1, 0]
+
+
+def fusion_cases(rng, count, max_nodes=7, max_labels=5, edge_prob=0.6):
+    """(problem, feasible x1, x2) with at least one free variable: integer
+    costs, real costs, small-integer ties, and ties with signed zeros."""
+    made = 0
+    while made < count:
+        kind = made % 4
+        p = random_problem(rng, max_nodes, max_labels, cost_range=9 if kind < 2 else 1,
+                           edge_prob=edge_prob, min_nodes=2, integer=kind != 1)
+        if kind == 3:
+            p = signed_zero_copy(p, rng)
+        x1, x2 = random_feasible_assignment(p, rng), random_assignment(p, rng)
+        if np.any(x1 != x2):
+            made += 1
+            yield p, x1, x2
+
+
+def starting_bits(fp):
+    """qpbo-i's start: roof duality's labels, the rest from the better of
+    the two reference labelings (the proposal's only when it is feasible)."""
+    labels = qpbo_labels(fp)
+    zeros = np.zeros(fp.num_variables, dtype=np.int64)
+    reference = int(feasible_by_pairwise_scan(fp.proposal)
+                    and fp.binary_energy(zeros + 1) < fp.binary_energy(zeros))
+    return np.where(labels >= 0, labels, reference), bool(np.any(labels < 0))
+
+
+def first_pass_flips_nothing(fp, bits):
+    """True iff one pass of the loop descent, in any order, keeps ``bits``
+    (a pass visits each variable once, so a flip in it is never undone)."""
+    return improve_by_loops(fp, bits, np.random.default_rng(0), rounds=1).tolist() == list(bits)
+
+
+class TestFirstPassCheck:
+    def test_matches_the_descent_by_loops(self):
+        # Settled or not, the bits and the generator's state must be the
+        # loop's; half the starts are qpbo-i's own, half random bits.
+        rng = np.random.default_rng(67)
+        seen = dict.fromkeys(["settled", "descended"], 0)
+        for trial, (p, x1, x2) in enumerate(fusion_cases(rng, 2000)):
+            fp = qf.build_fusion(p, x1, x2)
+            k = fp.num_variables
+            bits = starting_bits(fp)[0] if trial % 2 else rng.integers(0, 2, k)
+            ours, loops = np.random.default_rng(trial), np.random.default_rng(trial)
+            got, settled = qf.fusion._improve(fp, bits.copy(), ours)
+            assert got.tolist() == improve_by_loops(fp, bits, loops).tolist()
+            assert ours.bit_generator.state == loops.bit_generator.state
+            assert settled == first_pass_flips_nothing(fp, bits)
+            seen["settled" if settled else "descended"] += 1
+        assert min(seen.values()) > 200, seen
+
+
+def hit_case(rng):
+    """A (problem, x1, x2) whose qpbo-i fusion is settled."""
+    for p, x1, x2 in fusion_cases(rng, 10**6):
+        fp = qf.build_fusion(p, x1, x2)
+        if first_pass_flips_nothing(fp, starting_bits(fp)[0]):
+            return p, x1, x2
+
+
+class TestMemo:
+    def test_a_shared_memo_changes_no_result_and_no_draw(self):
+        # Larger problems, so that qpbo-i's own start needs a flip now and then.
+        rng = np.random.default_rng(71)
+        seen = dict.fromkeys(["stored", "not stored", "partly unlabelled"], 0)
+        cases = fusion_cases(rng, 600, max_nodes=10, max_labels=6, edge_prob=0.8)
+        for trial, (p, x1, x2) in enumerate(cases):
+            fp = qf.build_fusion(p, x1, x2)
+            bits, partly = starting_bits(fp)
+            settled = first_pass_flips_nothing(fp, bits)
+            plain, kept, memo = np.random.default_rng(trial), np.random.default_rng(trial), {}
+            for call in range(2):
+                want = qf.fuse(p, x1, x2, rng=plain)
+                got = qf.fuse(p, x1, x2, rng=kept, memo=memo)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert kept.bit_generator.state == plain.bit_generator.state
+                # An entry only for a fusion whose first pass flipped nothing.
+                assert len(memo) == settled
+            seen["stored" if settled else "not stored"] += 1
+            seen["partly unlabelled"] += partly
+        assert min(seen.values()) >= 15, seen
+
+    def test_a_hit_builds_and_solves_nothing(self, monkeypatch):
+        p, x1, x2 = hit_case(np.random.default_rng(73))
+        memo = {}
+        first = qf.fuse(p, x1, x2, rng=5, memo=memo)
+        assert len(memo) == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memo hit must not rebuild or re-solve the fusion")
+
+        monkeypatch.setattr(qf.fusion, "build_fusion", refuse)
+        monkeypatch.setattr(qf.fusion, "roof_duality", refuse)
+        again = qf.fuse(p, list(x1), np.array(x2, dtype=float), rng=5, memo=memo)
+        assert np.array_equal(again, first)
+        again[:] = qf.DUMMY  # the caller owns the copy it was given
+        assert np.array_equal(qf.fuse(p, x1, x2, rng=5, memo=memo), first)
+
+    def test_holds_at_most_its_cap_dropping_the_oldest(self, monkeypatch):
+        monkeypatch.setattr(qf.fusion, "_MEMO_ENTRIES", 2)
+        rng = np.random.default_rng(79)
+        p = random_problem(rng, max_nodes=8, min_nodes=8, max_labels=5)
+        while p.num_labels < 4:
+            p = random_problem(rng, max_nodes=8, min_nodes=8, max_labels=5)
+        x1 = random_feasible_assignment(p, rng)
+        memo, stored = {}, []
+        for _ in range(100):
+            x2 = random_assignment(p, rng)
+            key = x1.tobytes() + x2.tobytes()
+            if key not in stored:
+                qf.fuse(p, x1, x2, memo=memo)
+                stored += [key] if key in memo else []
+                assert list(memo) == stored[-2:]
+        assert len(stored) >= 4
+
+    def test_exact_mode_leaves_the_memo_alone(self):
+        p, x1, x2 = hit_case(np.random.default_rng(83))
+        memo = {}
+        qf.fuse(p, x1, x2, mode="exact", memo=memo)
+        assert memo == {}

@@ -212,6 +212,27 @@ class TestSolve:
             assert fusions > 0
             assert len(calls) <= 1 + fusions
 
+    def test_one_memo_per_solve_emptied_when_the_incumbent_improves(self, monkeypatch):
+        seen = []
+        real = qf.fusion.fuse
+
+        def spy(problem, x1, x2, mode, rng, *, memo):
+            seen.append((memo, len(memo), x1.tobytes() + x2.tobytes() in memo))
+            return real(problem, x1, x2, mode, rng, memo=memo)
+
+        monkeypatch.setattr(qf.solver, "fuse", spy)
+        p, _ = geometric_matching_instance(3, n=12, noise=0.3, outliers=3)
+        cfg = qf.SolverConfig(max_batches=40, seed=5, primal_heuristic="lap",
+                              greedy_generations=2)
+        events = [r.event for r in qf.solve(p, cfg).trace if r.event in ("fusion", "improved")]
+        assert len(events) == len(seen) and "improved" in events
+        assert all(memo is seen[0][0] for memo, _, _ in seen)
+        sizes = [size for _, size, _ in seen]
+        assert sizes[0] == 0 and max(sizes) <= qf.fusion._MEMO_ENTRIES
+        assert all(after == 0 for event, after in zip(events, sizes[1:]) if event == "improved")
+        # LAP proposals repeat once the ascent settles: the memo answers some.
+        assert any(hit for _, _, hit in seen)
+
     def test_time_budget_stops_early(self):
         rng = np.random.default_rng(14)
         p = random_problem(rng, max_nodes=5, min_nodes=5, edge_prob=1.0)

@@ -36,7 +36,12 @@ def load(family):
      "58441e902a17d7ab6dff2a5a8f8934db83daf5193d82d5bc2b53cd5f80938ec2"),
     ("knn", dict(max_batches=20, greedy_generations=3),
      "3713b3043b393defad7a258be2a2d7ede5ebd6fb50ec2091e6fa0ea2e811d632"),
-], ids=["knn300-greedy", "dense30-lap", "knn300-greedy-3-generations"])
+    # Long enough for LAP proposals to repeat, so settled fusions are
+    # answered from the solve's memo.
+    ("dense", dict(max_batches=100, primal_heuristic="lap", greedy_generations=2),
+     "c2095b072e4eae8f6f3b0afae917516596a1ffe00aaac8ab591bb1a819a0fcec"),
+], ids=["knn300-greedy", "dense30-lap", "knn300-greedy-3-generations",
+        "dense30-lap-100-batches-2-generations"])
 def test_benchmark_trace_sha256(family, config, digest):
     buffer = io.StringIO()
     qf.write_trace(qf.solve(load(family), qf.SolverConfig(seed=SOLVER_SEED, **config)).trace,
