@@ -478,6 +478,25 @@ class TestFirstPassCheck:
         assert min(seen.values()) > 200, seen
 
 
+    def test_sums_each_delta_in_the_loops_order(self):
+        # Variable 0's delta at the all-zeros start is -1, then +2^54, then
+        # -2^54: in that order -1 + 2^54 rounds to 2^54 and the sum is 0, so
+        # the first pass flips nothing; any other order gives -1.
+        big = 2.0**54
+        unary = np.array([[1.0, 0.0], [0.0, 5.0], [0.0, 5.0]])
+        tables = np.zeros((2, 2, 2))
+        tables[0, 1, 0], tables[1, 1, 0] = big, -big
+        nodes = np.arange(3)
+        fp = qf.FusionProblem(nodes, nodes, nodes, unary, np.array([[0, 1], [0, 2]]), tables,
+                              0.0, 1.0)
+        bits = np.zeros(3, dtype=np.int64)
+        ours, loops = np.random.default_rng(0), np.random.default_rng(0)
+        got, settled = qf.fusion._improve(fp, bits.copy(), ours)
+        assert got.tolist() == improve_by_loops(fp, bits, loops).tolist() == [0, 0, 0]
+        assert ours.bit_generator.state == loops.bit_generator.state
+        assert settled and first_pass_flips_nothing(fp, bits)
+
+
 def hit_case(rng):
     """A (problem, x1, x2) whose qpbo-i fusion is settled."""
     for p, x1, x2 in fusion_cases(rng, 10**6):
