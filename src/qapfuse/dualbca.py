@@ -12,10 +12,7 @@ variables:
   of one level: both endpoint unaries are pushed into the edge table, then
   the table's row/column minima are redistributed back half-and-half.
   Being an exact block maximization, it can never lower the bound.  A
-  level's edges share no node, so they update as one batch.  The batch is
-  read column by column, as :class:`qapfuse.model.Problem` stores it, so
-  each row minimum reduces over the leading axis: numpy reduces a short
-  trailing axis of a small stack several times slower.
+  level's edges share no node, so they update as one batch.
 * :func:`update_node_messages` equalizes each node's matching-side unaries
   at the midpoint of its two smallest values, shifting the differences
   into the assignment side.  The dummy entry is never modified.
@@ -31,9 +28,9 @@ touches only its own slots, so each family is one segment reduction.
 
 A :func:`sweep` runs the edge levels in order, which performs exactly the
 updates of the lexicographic edge loop (see :class:`qapfuse.model.Problem`),
-then the node and label updates, and re-evaluates the bound.  The solver
-makes its proposals between the two phases, through the sweep's ``between``
-hook, which may hand the bound its message-adjusted tables to take minima of.
+then the node and label updates, and re-evaluates the bound, skipping the
+edge minima when rounding provably cannot move it.  The solver makes its
+proposals between the two phases, through the sweep's ``between`` hook.
 """
 
 import itertools
@@ -50,19 +47,14 @@ from .model import DUMMY, Reparametrization, assignment_side, matching_side, seq
 MONOTONICITY_SLACK = 1e-9
 
 
-def dual_bound(problem, repar, adjusted=None):
+def dual_bound(problem, repar):
     """Lower bound on the optimal energy at the given dual state.
 
     Node minima, then edge minima in ``problem.edges`` order, then the
-    label term are added one at a time, as a per-term loop would.  Edge
-    minima come from ``adjusted``, ``adjusted_tables(problem, repar)``, if given.
+    label term are added one at a time, as a per-term loop would.
     """
-    edge_min, cell = [np.zeros(0)], 0
-    for table, _, _, mu, mv in itertools.chain.from_iterable(problem.batches):
-        block = (repar.adjusted_block(table, mu, mv) if adjusted is None
-                 else adjusted[cell:cell + table.size].reshape(-1, *table.shape[:2]))
-        cell += table.size
-        edge_min.append(block.min(axis=0).min(axis=1))
+    edge_min = [np.zeros(0)] + [repar.adjusted_block(table, mu, mv).min(axis=0).min(axis=1)
+                                for table, _, _, mu, mv in itertools.chain(*problem.batches)]
     node_min = np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1])
     terms = np.concatenate((node_min, np.concatenate(edge_min)[problem.edge_rank]))
     return sequential_sum(terms) + label_min_term(problem, repar)
@@ -86,17 +78,20 @@ def update_edge_messages(problem, repar, level):
     Accumulation moves both reparametrized unaries into the edge table;
     redistribution hands the table's minima back: half of each row minimum
     to u, then full column minima to v, then the remaining row minima to u.
+    Returns the largest magnitude of a half-step u-message, for :func:`sweep`.
     """
-    side = matching_side(problem, repar)
+    side, half = matching_side(problem, repar), 0.0
     for table, iu, iv, mu, mv in problem.batches[level]:
         old_u, old_v = repar.batch_messages(table, mu, mv)
 
+        # Column by column, as stored: row minima reduce the (several times faster) leading axis.
         by_col = table.transpose(2, 0, 1)
         msg_u = old_u + side[iu]
         msg_v = old_v + side[iv]
         adjusted = by_col + msg_u
         adjusted += msg_v.T[:, :, None]
         msg_u -= 0.5 * adjusted.min(axis=0)
+        half = max(half, np.abs(msg_u).max())
         np.add(by_col, msg_u, out=adjusted)
         # A transposed copy reduced over its leading axis beats min(axis=2).
         msg_v = -np.ascontiguousarray(adjusted.transpose(2, 1, 0)).min(axis=0)
@@ -107,6 +102,7 @@ def update_edge_messages(problem, repar, level):
         repar.msg_sums[iv] += msg_v - old_v
         old_u[:] = msg_u
         old_v[:] = msg_v
+    return half
 
 
 def update_node_messages(problem, repar):
@@ -152,27 +148,42 @@ class DualState:
         return cls(repar=repar, dual_bound=dual_bound(problem, repar))
 
 
-def sweep(problem, state, between=None):
-    """One full ascent pass; the bound never decreases across it.
+def sweep(problem, state, between=lambda: None):
+    """One full ascent pass in level order; the bound never decreases across
+    it.  ``between()`` runs after the edge phase and must not change the state.
 
-    Edge updates run level by level, which equals the lexicographic edge
-    order.  ``between()``, if given, runs between the edge phase and the
-    node and label updates; the bound reads the adjusted tables it returns.
+    Bound = head (the node minima summed in order) + the edge minima + the
+    label term.  Let u = 2^-53, T = ``cost_scale``, M = max|edge_flat|, H =
+    max|h| over half-step u-messages h, a = u(2T + 2H + 3M)(1 + 2^-40).
+    Per row the update takes P = fl(t + h), v = -min_i P, A = fl(P + v) >=
+    0, r = min_j A, mu = fl(h - r); the bound C = fl(fl(t + mu) + v) = A -
+    r + E, E = e3 + e4 + e5 - e1 - e2 by rounding errors.  As min_j (A - r)
+    = 0, |edge minimum| <= |E| where A = r, or where C is least if < 0;
+    there 0 <= A - r <= |E|, |C| <= |E|, and as a sum errs by <= u times its
+    exact and its rounded value, |e1| <= u(T + H), |e2| <= uA <= u(H + M +
+    uM + |E|) (r = h - mu + e3), |e3| <= uM, |e4| <= u(T + M), |e5| <= u|E|:
+    (1 - 2u)|E| <= u(2T + 2H + 3M + uM), so |E| < a, a's four roundings
+    and a subnormal a (off by <= 2^-1075) included.  If head != 0 and a <
+    ulp(head) / 4, head + each edge minimum rounds to head (a power of two
+    too), and the edge pass is skipped.  A NaN fails the test.
     """
-    before = state.dual_bound
+    before, repar = state.dual_bound, state.repar
 
-    for level in range(len(problem.batches)):
-        update_edge_messages(problem, state.repar, level)
-    adjusted = between() if between is not None else None
+    half = max([update_edge_messages(problem, repar, level)
+                for level in range(len(problem.batches))], default=0.0)
+    between()
 
-    update_node_messages(problem, state.repar)
-    update_label_messages(problem, state.repar)
+    update_node_messages(problem, repar)
+    update_label_messages(problem, repar)
 
-    state.dual_bound = dual_bound(problem, state.repar, adjusted)
+    head = sequential_sum(np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1]))
+    a = 2.0**-53 * (1.0 + 2.0**-40) * (2.0 * (problem.cost_scale + half)
+                                       + 3.0 * np.abs(repar.edge_flat).max(initial=0.0))
+    exact = head != 0.0 and a < np.spacing(abs(head)) / 4.0
+    state.dual_bound = head + label_min_term(problem, repar) if exact else dual_bound(problem, repar)
     state.sweep_counter += 1
 
     slack = MONOTONICITY_SLACK * max(problem.cost_scale, abs(before))
     if state.dual_bound < before - slack:
-        raise RuntimeError(
-            f"dual bound decreased across sweep {state.sweep_counter}: "
-            f"{before!r} -> {state.dual_bound!r}")
+        raise RuntimeError(f"dual bound decreased across sweep {state.sweep_counter}: "
+                           f"{before!r} -> {state.dual_bound!r}")

@@ -118,7 +118,7 @@ def solve(problem, config=None, *, trace_clock=None):
         # The dual state is fixed until the sweep goes on: one LAP proposal,
         # or one set of adjusted tables, serves every generation.
         if config.primal_heuristic == "lap":
-            adjusted, proposal = None, solve_lap(problem, assignment_side(problem, state.repar))[0]
+            proposal = solve_lap(problem, assignment_side(problem, state.repar))[0]
         else:
             adjusted = adjusted_tables(problem, state.repar)
         for _ in range(config.greedy_generations):
@@ -132,7 +132,6 @@ def solve(problem, config=None, *, trace_clock=None):
                 incumbent, best_energy = fused, fused_energy
                 memo.clear()
             record("improved" if improved else "fusion", best_energy, fusion_work)
-        return adjusted  # the sweep's bound reads it
 
     done = proved()
     for _ in range(config.max_batches):

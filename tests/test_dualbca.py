@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
 import qapfuse as qf
 from helpers import (
@@ -13,6 +14,7 @@ from helpers import (
     matching_cost,
     message_sum,
     neighbors,
+    pairwise_tables,
     random_problem,
     random_reparametrization,
     scaled_problem,
@@ -67,17 +69,6 @@ class TestDualBound:
             r = random_reparametrization(p, rng)
             opt, _ = brute_force_optimum(p)
             assert qf.dual_bound(p, r) <= opt + 1e-9 * max(1.0, abs(opt))
-
-    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
-    def test_bound_from_adjusted_tables_is_bitwise_the_same(self, scale):
-        rng = np.random.default_rng(22)
-        for trial in range(60):
-            p = scaled_problem(random_problem(rng, max_nodes=7, max_labels=5, edge_prob=0.6,
-                                              integer=trial % 2 == 0), scale)
-            r = random_reparametrization(p, rng, scale=3.0 * scale)
-            plain = qf.dual_bound(p, r)
-            assert qf.dual_bound(p, r, qf.model.adjusted_tables(p, r)).hex() == plain.hex()
-
 
 class TestEdgeUpdate:
     def test_zero_edge_is_fixed_point(self):
@@ -299,6 +290,87 @@ class TestSweep:
             x = random_assignment(p, rng)
             e = qf.energy(p, x)
             assert identity_total(p, st.repar, x) == pytest.approx(e, rel=1e-9, abs=1e-9)
+
+
+def spy_on_bound(monkeypatch):
+    """Record every call that :func:`qapfuse.dualbca.sweep` makes to dual_bound."""
+    calls, real = [], qf.dualbca.dual_bound
+    monkeypatch.setattr(qf.dualbca, "dual_bound", lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def bound_case(rng, k):
+    """A random problem and a random dual state, every cost and message
+    scaled by 2^k.  The problem is small and dense or larger and sparse,
+    its costs mostly real, else small integers, a tenth of them -0.0.  A
+    third of the problems have their unaries shifted down by 2 to 4 cost
+    ranges: a sum of node minima far from 0 lets the sweep skip the edge
+    minima, while the unshifted real-cost ones put rounding residues in
+    reach of the sum."""
+    integer, large, shifted = rng.random(3) < (1 / 3, 1 / 2, 1 / 3)
+    spread = 2 if integer else 9
+    p = random_problem(rng, max_nodes=40 if large else 12, min_nodes=13 if large else 1,
+                       max_labels=5, edge_prob=0.08 if large else 0.5, integer=integer,
+                       cost_range=spread)
+    shift, n = spread * int(rng.integers(2, 5)) * shifted, p.num_nodes
+    p = qf.Problem(n, p.num_labels, [candidates(p, u) for u in range(n)],
+                   [np.array(unary_costs(p, u)) - shift for u in range(n)], pairwise_tables(p))
+    p = scaled_problem(signed_zero_copy(p, rng, share=0.1), 2.0**k)
+    return p, qf.DualState(random_reparametrization(p, rng, scale=3.0 * 2.0**k), -np.inf)
+
+
+def assert_bounds_are_fresh(problem, state, sweeps=4):
+    for _ in range(sweeps):
+        qf.sweep(problem, state)
+        assert state.dual_bound.hex() == qf.dual_bound(problem, state.repar).hex()
+
+
+class TestSweepBound:
+    """A sweep records the bound that :func:`qapfuse.dual_bound` computes
+    afresh, bit for bit, whether it skips the edge minima or not."""
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-40, 2.0**40], ids=["1", "2^-40", "2^40"])
+    def test_sweeps_bound_is_bitwise_a_fresh_bound(self, scale):
+        rng = np.random.default_rng(22)
+        for trial in range(60):
+            p = scaled_problem(random_problem(rng, max_nodes=7, max_labels=5, edge_prob=0.6,
+                                              integer=trial % 2 == 0), scale)
+            assert_bounds_are_fresh(p, qf.DualState(
+                random_reparametrization(p, rng, scale=3.0 * scale), -np.inf))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=strategies.integers(0, 2**32 - 1), k=strategies.integers(-40, 40))
+    def test_property_at_power_of_two_scales(self, seed, k):
+        assert_bounds_are_fresh(*bound_case(np.random.default_rng(seed), k))
+
+    def test_skip_and_fallback_both_run(self, monkeypatch):
+        calls, rng, sweeps = spy_on_bound(monkeypatch), np.random.default_rng(23), 0
+        for _ in range(100):
+            p, st = bound_case(rng, int(rng.integers(-40, 41)))
+            assert_bounds_are_fresh(p, st)
+            sweeps += 4
+        fallbacks = len(calls)
+        assert sweeps / 20 < sweeps - fallbacks and sweeps / 2 < fallbacks, (fallbacks, sweeps)
+
+    def test_zero_node_sum_falls_back(self, monkeypatch):
+        p = qf.Problem(3, 2, [[0, 1], [0], [1]], [np.zeros(3), np.zeros(2), np.zeros(2)],
+                       {(0, 1): np.zeros((3, 2)), (1, 2): np.zeros((2, 2))})
+        st = qf.DualState.initial(p)
+        calls = spy_on_bound(monkeypatch)
+        assert_bounds_are_fresh(p, st, sweeps=1)
+        assert len(calls) == 1 and st.dual_bound == 0.0
+
+    def test_tables_that_dwarf_the_node_sum_fall_back(self, monkeypatch):
+        # The node minima sum to about 1, a quarter ulp of which is far
+        # below the rounding allowance of 2^40-sized tables.
+        big = 2.0**40
+        p = qf.Problem(2, 1, [[0], [0]], [np.array([1.0, 0.5]), np.array([-3.0, 0.25])],
+                       {(0, 1): np.array([[big, 0.1], [0.3, big]])})
+        st = qf.DualState.initial(p)
+        calls = spy_on_bound(monkeypatch)
+        assert_bounds_are_fresh(p, st, sweeps=1)
+        node_min = np.minimum.reduceat(qf.model.matching_side(p, st.repar), p.offsets[:-1])
+        assert len(calls) == 1 and 0.0 < abs(node_min.sum()) < 16.0
 
 
 def assert_sweeps_match_reference(problem, state, sweeps=4):

@@ -167,9 +167,9 @@ class TestSolve:
         assert sum(r.event == "lap" for r in trace) == 3 * sweeps
 
     def test_each_sweeps_bound_equals_a_fresh_bound(self, monkeypatch):
-        # Greedy solves hand the sweep the adjusted tables they built, one
-        # set per sweep for all generations; the bound it records from them
-        # is bit for bit the bound of the state.  LAP solves build none.
+        # Greedy solves build one set of adjusted tables per sweep for all
+        # generations, LAP solves none; whether the sweep skips its edge
+        # minima or not, the bound it records is bit for bit the state's.
         built, checked = [], []
         real_tables, real_sweep = qf.solver.adjusted_tables, qf.solver.sweep
 

@@ -47,3 +47,16 @@ def test_benchmark_trace_sha256(family, config, digest):
     qf.write_trace(qf.solve(load(family), qf.SolverConfig(seed=SOLVER_SEED, **config)).trace,
                    buffer)
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family, config", [
+    ("knn", dict(max_batches=20)),
+    ("dense", dict(max_batches=30, primal_heuristic="lap")),
+], ids=["knn300-greedy", "dense30-lap"])
+def test_benchmark_sweeps_skip_the_edge_minima(family, config, monkeypatch):
+    # Every sweep's bound is provably its node minima and label term, so
+    # dual_bound runs once per solve: for the initial state.
+    calls, real = [], qf.dualbca.dual_bound
+    monkeypatch.setattr(qf.dualbca, "dual_bound", lambda *args: calls.append(1) or real(*args))
+    trace = qf.solve(load(family), qf.SolverConfig(seed=SOLVER_SEED, **config)).trace
+    assert len(calls) == 1 and sum(r.event == "label-sweep" for r in trace) == config["max_batches"]
