@@ -154,18 +154,18 @@ def sweep(problem, state, between=lambda: None):
 
     Bound = head (the node minima summed in order) + the edge minima + the
     label term.  Let u = 2^-53, T = ``cost_scale``, M = max|edge_flat|, H =
-    max|h| over half-step u-messages h, a = u(2T + 2H + 3M)(1 + 2^-40).
-    Per row the update takes P = fl(t + h), v = -min_i P, A = fl(P + v) >=
-    0, r = min_j A, mu = fl(h - r); the bound C = fl(fl(t + mu) + v) = A -
-    r + E, E = e3 + e4 + e5 - e1 - e2 by rounding errors.  As min_j (A - r)
-    = 0, |edge minimum| <= |E| where A = r, or where C is least if < 0;
-    there 0 <= A - r <= |E|, |C| <= |E|, and as a sum errs by <= u times its
-    exact and its rounded value, |e1| <= u(T + H), |e2| <= uA <= u(H + M +
-    uM + |E|) (r = h - mu + e3), |e3| <= uM, |e4| <= u(T + M), |e5| <= u|E|:
-    (1 - 2u)|E| <= u(2T + 2H + 3M + uM), so |E| < a, a's four roundings
-    and a subnormal a (off by <= 2^-1075) included.  If head != 0 and a <
-    ulp(head) / 4, head + each edge minimum rounds to head (a power of two
-    too), and the edge pass is skipped.  A NaN fails the test.
+    max|h| over half-step u-messages h, and the allowance a = u(2T + 2H +
+    3M)(1 + 2^-40).  Per row the update takes P = fl(t + h), v = -min_i P, A
+    = fl(P + v) >= 0, r = min_j A, mu = fl(h - r); the bound C = fl(fl(t +
+    mu) + v) = A - r + E, E = e3 + e4 + e5 - e1 - e2 by rounding errors.  As
+    min_j (A - r) = 0, |edge minimum| <= |E| where A = r, or where C is
+    least if < 0; there 0 <= A - r <= |E|, |C| <= |E|, and as a sum errs by
+    <= u times its exact and its rounded value, |e1| <= u(T + H), |e2| <= uA
+    <= u(H + M + uM + |E|) (r = h - mu + e3), |e3| <= uM, |e4| <= u(T + M),
+    |e5| <= u|E|: (1 - 2u)|E| <= u(2T + 2H + 3M + uM), so |E| <= a, a's four
+    roundings and a subnormal a (off by <= 2^-1075) included.  If head != 0
+    and a < ulp(head) / 4, head + each edge minimum rounds to head (a power
+    of two too), and the edge pass is skipped.  A NaN fails the test.
     """
     before, repar = state.dual_bound, state.repar
 
@@ -177,10 +177,10 @@ def sweep(problem, state, between=lambda: None):
     update_label_messages(problem, repar)
 
     head = sequential_sum(np.minimum.reduceat(matching_side(problem, repar), problem.offsets[:-1]))
-    a = 2.0**-53 * (1.0 + 2.0**-40) * (2.0 * (problem.cost_scale + half)
-                                       + 3.0 * np.abs(repar.edge_flat).max(initial=0.0))
-    exact = head != 0.0 and a < np.spacing(abs(head)) / 4.0
-    state.dual_bound = head + label_min_term(problem, repar) if exact else dual_bound(problem, repar)
+    allowance = 2.0**-53 * (1.0 + 2.0**-40) * (2.0 * (problem.cost_scale + half)
+                                               + 3.0 * np.abs(repar.edge_flat).max(initial=0.0))
+    skip = head != 0.0 and allowance < np.spacing(abs(head)) / 4.0
+    state.dual_bound = head + label_min_term(problem, repar) if skip else dual_bound(problem, repar)
     state.sweep_counter += 1
 
     slack = MONOTONICITY_SLACK * max(problem.cost_scale, abs(before))

@@ -293,7 +293,8 @@ class TestSweep:
 
 
 def spy_on_bound(monkeypatch):
-    """Record every call that :func:`qapfuse.dualbca.sweep` makes to dual_bound."""
+    """Record every call that :mod:`qapfuse.dualbca` makes to its dual_bound:
+    the fallback of :func:`qapfuse.sweep` and :meth:`DualState.initial`."""
     calls, real = [], qf.dualbca.dual_bound
     monkeypatch.setattr(qf.dualbca, "dual_bound", lambda *args: calls.append(1) or real(*args))
     return calls
