@@ -40,9 +40,9 @@ import numpy as np
 
 from .model import Problem, validate_assignment
 
-# Lines per chunk: converting a whole file's tokens at once would hold
-# every token string in memory together.
-_CHUNK_LINES = 1 << 16
+# Lines per chunk: a chunk's lines and rows, alive together, set the load's
+# memory peak, and the first chunk (header, a lines) takes the kind scan.
+_CHUNK_LINES = 1 << 14
 
 
 class ParseError(ValueError):
@@ -188,6 +188,10 @@ def _read_chunk(lines, header, seen):
     seen, the assignment and pairwise columns and the pairwise lines'
     positions in the chunk; None if a line breaks a rule or the C reader
     refuses one."""
+    # Pairwise lines only, likely: the C reader refuses any other line.
+    if header is not None and lines[0][:1] == lines[-1][:1] == "e":
+        if (terms := _fields(lines, "e", 4)) is not None:
+            return header, seen, _fields([], "a", 5), terms, np.arange(len(lines))
     # A line's kind is its first character, or its first after leading
     # whitespace; a blank line counts as a comment.
     heads = "".join([raw[:1] or "\n" for raw in lines])
@@ -380,8 +384,9 @@ def to_problem(instance):
 
     # parse_dd checked that the two ends of every term are different nodes.
     # ``term`` is in turn each term's edge key, its edge and its table cell.
-    flip = left[id1] > left[id2]
-    term = left[np.where(flip, id2, id1)] * n + left[np.where(flip, id1, id2)]
+    flip = (term := left[id1]) > (high := left[id2])
+    term = np.minimum(term, high) * n + np.maximum(term, high, out=high)
+    del high
     # Edges in key order: sort the keys, then number each run of one key.
     perm = np.argsort(term)
     term = term[perm]

@@ -541,19 +541,66 @@ def _benchmark_text(family, size):
 @pytest.mark.parametrize("family,size", [("knn", 300), ("dense", 30)])
 def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     # The line loop reads every file right, so only this test sees a C
-    # reader that refuses well-formed chunks.
+    # reader that refuses well-formed chunks.  Every chunk after the first
+    # holds e lines only, so it must skip the kind scan too.
     text = _benchmark_text(family, size)
     refused, read_lines = [], ddio._read_lines
+    chunks, scanned, read_chunk, pick = [], [], ddio._read_chunk, ddio._pick
 
     def spy(lines, first, *rest):
         refused.append(first)
         return read_lines(lines, first, *rest)
 
+    def chunk_spy(lines, *rest):
+        chunks.append(lines)
+        return read_chunk(lines, *rest)
+
+    def pick_spy(lines, at):
+        scanned.append(lines)
+        return pick(lines, at)
+
     monkeypatch.setattr(ddio, "_read_lines", spy)
+    monkeypatch.setattr(ddio, "_read_chunk", chunk_spy)
+    monkeypatch.setattr(ddio, "_pick", pick_spy)
     inst = qf.parse_dd(text)
     assert refused == []
+    assert len(chunks) > 4 and scanned and all(lines is chunks[0] for lines in scanned)
     assert len(inst.assignments) + len(inst.pairwise_terms) + 1 == text.count("\n")
     assert [c.dtype for c in inst.pairwise_terms.columns] == [np.int64, np.int64, np.float64]
+
+
+# Middle lines for a chunk whose first and last lines are pairwise lines;
+# the last three of them break the file.
+ODD_MIDDLE_LINES = ["c a comment", "", " e 1 3 -2.5", "\t\te\t1\t3\t-2.5", "a 4 1 2 0.5",
+                    "p 2 3 4 7", "ee 0 2 1.5", "e\0 0 2 1.5"]
+
+
+@pytest.mark.parametrize("tail", ["valid", "unknown id"])
+@pytest.mark.parametrize("middle", ODD_MIDDLE_LINES)
+def test_chunks_that_start_and_end_with_e_lines_read_as_the_line_oracle(monkeypatch, middle, tail):
+    # Chunks of five lines: the header and the a lines, then e lines with
+    # the odd line third of the second chunk.  An unknown id in the last e
+    # line of that chunk makes the error's line depend on every line before
+    # it being counted.
+    body = (["a 0 0 0 1.0", "a 1 0 1 -1.0", "a 2 1 0 2.0", "a 3 1 1 0.0"]
+            + ["e 0 2 1.0", "e 0 3 2.0", middle, "e 1 3 3.0", f"e 1 {9 if tail != 'valid' else 2} 4.0"]
+            + ["e 3 0 5.0", "e 2 1 6.0", "e 0 3 7.0"])
+    kinds = [line.split()[:1] for line in body]
+    text = "\n".join([f"p 2 3 {kinds.count(['a'])} {kinds.count(['e'])}"] + body) + "\n"
+    monkeypatch.setattr(ddio, "_CHUNK_LINES", 5)
+    chunks, read_chunk = [], ddio._read_chunk
+
+    def chunk_spy(lines, *rest):
+        chunks.append(lines)
+        return read_chunk(lines, *rest)
+
+    monkeypatch.setattr(ddio, "_read_chunk", chunk_spy)
+    expected = _read_or_error(_oracle_columns, text)
+    assert _read_or_error(_parse_dd_columns, io.StringIO(text)) == expected
+    assert chunks[1][2] == middle + "\n"
+    assert all(c[0][:1] == c[-1][:1] == "e" for c in chunks[1:])
+    assert _read_or_error(_parse_dd_columns, text) == expected
+    assert (len(expected) == 4) == (tail == "valid" and middle not in ODD_MIDDLE_LINES[5:])
 
 
 def _grid_text(n):
