@@ -14,12 +14,12 @@ lines reference two existing assignments with distinct left indices;
 repeated (id1, id2) pairs accumulate additively.  Integers and costs read
 as Python's ``int`` and ``float`` read them.
 
-`parse_dd` reads the stream in chunks of lines, each kind's lines with
-numpy's C text reader, which reads a subset of that grammar to the same
-values.  A chunk it refuses, or that breaks a rule, is read again a line
-at a time, which reads it or words its first bad line's error.  The
-checks that need the whole file run a chunk at a time and the columns are
-joined one by one, so that a load holds a few per-term arrays at most.
+`parse_dd` reads the stream in chunks of 16,384 lines with numpy's C text
+reader, which reads a subset of that grammar to the same values: a chunk
+of e lines after the header in one call, other chunks kind by kind.  A
+chunk it refuses, or that breaks a rule, is read a line at a time, which
+reads it or names its first bad line.  Whole-file checks run a chunk at a
+time and columns are joined one by one: a load holds a few per-term arrays.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.

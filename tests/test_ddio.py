@@ -538,6 +538,18 @@ def _benchmark_text(family, size):
     return instances.relabel(make(0, size), 1)[0].dd_text()
 
 
+def _first_arguments(monkeypatch, name):
+    """Wrap ``ddio.<name>``; the list of the first arguments of its calls."""
+    calls, wrapped = [], getattr(ddio, name)
+
+    def spy(first, *rest):
+        calls.append(first)
+        return wrapped(first, *rest)
+
+    monkeypatch.setattr(ddio, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("family,size", [("knn", 300), ("dense", 30)])
 def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     # The line loop reads every file right, so only this test sees a C
@@ -545,23 +557,14 @@ def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     # holds e lines only, so it must skip the kind scan too.
     text = _benchmark_text(family, size)
     refused, read_lines = [], ddio._read_lines
-    chunks, scanned, read_chunk, pick = [], [], ddio._read_chunk, ddio._pick
 
     def spy(lines, first, *rest):
         refused.append(first)
         return read_lines(lines, first, *rest)
 
-    def chunk_spy(lines, *rest):
-        chunks.append(lines)
-        return read_chunk(lines, *rest)
-
-    def pick_spy(lines, at):
-        scanned.append(lines)
-        return pick(lines, at)
-
     monkeypatch.setattr(ddio, "_read_lines", spy)
-    monkeypatch.setattr(ddio, "_read_chunk", chunk_spy)
-    monkeypatch.setattr(ddio, "_pick", pick_spy)
+    chunks = _first_arguments(monkeypatch, "_read_chunk")
+    scanned = _first_arguments(monkeypatch, "_pick")
     inst = qf.parse_dd(text)
     assert refused == []
     assert len(chunks) > 4 and scanned and all(lines is chunks[0] for lines in scanned)
@@ -582,19 +585,14 @@ def test_chunks_that_start_and_end_with_e_lines_read_as_the_line_oracle(monkeypa
     # the odd line third of the second chunk.  An unknown id in the last e
     # line of that chunk makes the error's line depend on every line before
     # it being counted.
+    last = "e 1 2 4.0" if tail == "valid" else "e 1 9 4.0"
     body = (["a 0 0 0 1.0", "a 1 0 1 -1.0", "a 2 1 0 2.0", "a 3 1 1 0.0"]
-            + ["e 0 2 1.0", "e 0 3 2.0", middle, "e 1 3 3.0", f"e 1 {9 if tail != 'valid' else 2} 4.0"]
+            + ["e 0 2 1.0", "e 0 3 2.0", middle, "e 1 3 3.0", last]
             + ["e 3 0 5.0", "e 2 1 6.0", "e 0 3 7.0"])
     kinds = [line.split()[:1] for line in body]
     text = "\n".join([f"p 2 3 {kinds.count(['a'])} {kinds.count(['e'])}"] + body) + "\n"
     monkeypatch.setattr(ddio, "_CHUNK_LINES", 5)
-    chunks, read_chunk = [], ddio._read_chunk
-
-    def chunk_spy(lines, *rest):
-        chunks.append(lines)
-        return read_chunk(lines, *rest)
-
-    monkeypatch.setattr(ddio, "_read_chunk", chunk_spy)
+    chunks = _first_arguments(monkeypatch, "_read_chunk")
     expected = _read_or_error(_oracle_columns, text)
     assert _read_or_error(_parse_dd_columns, io.StringIO(text)) == expected
     assert chunks[1][2] == middle + "\n"
