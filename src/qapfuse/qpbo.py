@@ -13,18 +13,21 @@ a lower bound on the binary minimum (tight when everything is submodular),
 and variables whose copy and anti-copy end up on opposite cut sides carry
 persistent labels: some optimal labeling agrees with all of them at once.
 
-Max-flow grows Boykov and Kolmogorov's two search trees (PAMI 2004) over
-a network given as arc arrays (``tails``, ``heads``, ``capacities``),
-after a pre-push that sends what it can along every path source -> a ->
-b -> sink; on roof duality's networks such paths are more than half of
-the augmenting paths.  The labels read the minimal minimum cut: the nodes the
-source reaches in the residual network of a maximum flow.  That set is
-the same for every maximum flow (Kolmogorov and Rother, PAMI 2007), so the
-labels do not depend on which flow the algorithm finds; ``max_flow`` takes
-it from one final residual search, not from its trees.  An arc counts as
-saturated when its residual is at most 1e-12 of the network's largest
-capacity, so scaling every cost by a power of two leaves the labels
-unchanged.
+Max-flow grows Boykov and Kolmogorov's two search trees (PAMI 2004) over a
+network given as arc arrays (``tails``, ``heads``, ``capacities``), after a
+pre-push that sends what it can along every path source -> a -> b -> sink
+(on roof duality's networks, most augmenting paths).  The labels read the
+minimal minimum cut: the nodes the source reaches in the residual network
+of a maximum flow, the same set for every maximum flow (Kolmogorov and
+Rother, PAMI 2007).  When the search stops it is the source tree.  The
+source reaches every tree node, as growth and adoption take only arcs with
+a residual from parent to child and an augmentation that saturates one
+orphans the child.  It reaches no other: a tree node p goes passive only
+when its residual arcs all lead into the tree, and an arc p -> q gains
+residual only from flow on q -> p, which needs q to be p's tree parent; if
+q is later freed, p is re-activated.  An arc counts as saturated when its
+residual is at most 1e-12 of the network's largest capacity, so scaling
+every cost by a power of two leaves the labels unchanged.
 """
 
 from collections import deque
@@ -48,14 +51,17 @@ class MaxFlow:
     an arc from one to the other closes a path, which is augmented by its
     bottleneck.  A tree arc that saturates orphans its child, which adopts
     a same-tree neighbour still rooted at the terminal, or else goes free
-    and orphans its own children.  The residual network is ``cap``."""
+    and orphans its own children.  The residual network is ``cap``.  A
+    capacity must be finite, and one at most 0 drops its arc."""
 
     def __init__(self, num_nodes, tails, heads, capacities):
+        tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
         capacities = np.asarray(capacities, dtype=np.float64)
+        if not np.isfinite(capacities).all():
+            arc = np.flatnonzero(~np.isfinite(capacities))[0]
+            raise ValueError(f"arc {arc} ({tails[arc]} -> {heads[arc]}) has capacity {capacities[arc]}")
         keep = capacities > 0.0
-        tails = np.asarray(tails, dtype=np.int64)[keep]
-        heads = np.asarray(heads, dtype=np.int64)[keep]
-        capacities = capacities[keep]
+        tails, heads, capacities = tails[keep], heads[keep], capacities[keep]
         self.to = np.stack((heads, tails), 1).ravel().tolist()
         self.cap = np.stack((capacities, np.zeros_like(capacities)), 1).ravel().tolist()
         self.eps = _EPS * float(capacities.max(initial=0.0))
@@ -65,8 +71,8 @@ class MaxFlow:
         self.head = [order[a:b] for a, b in zip([0] + ends, ends)]
 
     def max_flow(self, source, sink):
-        """The maximum flow value, and which nodes the source still reaches
-        in the residual network (the source side of the minimal min-cut)."""
+        """The maximum flow value, and the final source tree: the nodes the
+        source still reaches in the residual network (the minimal min-cut)."""
         n = len(self.head)
         for name, node in (("source", source), ("sink", sink)):
             if not 0 <= node < n:
@@ -104,7 +110,6 @@ class MaxFlow:
         tree[source], tree[sink] = 1, -1
         active[source] = active[sink] = True
         queue = deque((source, sink))
-        mark, stamp = [0] * n, 0  # mark[v] == stamp: v checked rooted in this augmentation
         while queue:
             a = queue[0]
             side, meet = tree[a], -1
@@ -127,7 +132,6 @@ class MaxFlow:
 
             # Augment source ~> to[meet ^ 1] -> to[meet] ~> sink by its
             # bottleneck; a tree arc left saturated orphans its child.
-            stamp += 1
             sides = ((to[meet ^ 1], source, 1), (to[meet], sink, 0))
             bottleneck = cap[meet]
             for v, root, flip in sides:
@@ -150,22 +154,17 @@ class MaxFlow:
                     v = to[arc ^ flip]
 
             # Adoption: an orphan takes the first same-tree neighbour with a
-            # residual arc to it whose parent chain reaches the root, walked
-            # up to the first node already checked in this augmentation.
+            # residual arc to it whose parent chain reaches the root (-1)
+            # rather than an orphan (-2).
             for o in orphans:
                 side = tree[o]
                 for arc in head[o]:
                     b = to[arc]
                     if tree[b] != side or cap[arc ^ (side > 0)] <= eps:
                         continue
-                    v = b
-                    while mark[v] != stamp and parent[v] >= 0:
-                        v = to[parent[v]]
-                    if mark[v] == stamp or parent[v] == -1:
-                        while b != v:
-                            mark[b] = stamp
-                            b = to[parent[b]]
-                        mark[v] = mark[o] = stamp
+                    while parent[b] >= 0:
+                        b = to[parent[b]]
+                    if parent[b] == -1:
                         parent[o] = arc
                         break
                 else:
@@ -183,16 +182,7 @@ class MaxFlow:
                             queue.append(b)
                     tree[o] = 0
 
-        # The source side of the minimal minimum cut.
-        reached = [False] * n
-        reached[source] = True
-        queue = [source]
-        for a in queue:
-            for arc in head[a]:
-                if cap[arc] > eps and not reached[to[arc]]:
-                    reached[to[arc]] = True
-                    queue.append(to[arc])
-        return total, np.array(reached)
+        return total, np.array(tree) == 1
 
 
 @dataclass

@@ -142,6 +142,29 @@ def test_maxflow_matches_cut_enumeration_on_float_networks():
             assert np.array_equal(reached, sides[cut == cut.min()].all(axis=0))
 
 
+def test_maxflow_second_call_finds_no_flow_and_the_same_cut():
+    # The second search runs no augmentation, so its cut comes from a
+    # source tree grown once over the first call's residual network.
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 21))
+        m = int(rng.integers(0, 4 * n))
+        inner = np.arange(2, n)
+        tails = np.concatenate((np.zeros(n - 2, dtype=np.int64), inner, rng.integers(0, n, m)))
+        heads = np.concatenate((inner, np.ones(n - 2, dtype=np.int64), rng.integers(0, n, m)))
+        graph = qf.MaxFlow(n, tails, heads, rng.uniform(-1.0, 5.0, tails.size))
+        _, reached = graph.max_flow(0, 1)
+        again, reached_again = graph.max_flow(0, 1)
+        assert again == 0.0
+        assert np.array_equal(reached_again, reached)
+
+
+@pytest.mark.parametrize("capacity", [np.nan, np.inf, -np.inf])
+def test_maxflow_refuses_non_finite_capacities(capacity):
+    with pytest.raises(ValueError, match=re.escape(f"arc 0 (0 -> 2) has capacity {capacity}")):
+        qf.MaxFlow(3, [0, 2], [2, 1], [capacity, 1.0])
+
+
 @pytest.mark.parametrize("source, sink, message", [
     (0, 0, "source and sink are the same node 0"),
     (0, 4, "sink 4 is not a node of a 4-node network"),
