@@ -31,7 +31,7 @@ significant digits and a missing best energy is an empty field.
 
 import io
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -71,7 +71,7 @@ class DdPairwiseTerm(NamedTuple):
 @dataclass
 class DdInstance:
     """A `.dd` instance.  ``assignments`` is a sequence of DdAssignment and
-    ``pairwise_terms`` an iterable of DdPairwiseTerm; both are stored as
+    ``pairwise_terms`` a sequence of DdPairwiseTerm; both are stored as
     given.  `parse_dd` gives them as read-only sequences backed by numpy
     columns (assignments sorted by id, terms in file order) that make a
     record only when one is read.  An instance built by hand is checked by
@@ -79,7 +79,7 @@ class DdInstance:
     n_left: int
     n_right: int
     assignments: Sequence
-    pairwise_terms: Iterable
+    pairwise_terms: Sequence
 
 
 class _Records(Sequence):

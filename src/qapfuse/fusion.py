@@ -102,28 +102,23 @@ def build_fusion(problem, x1, x2):
     var = np.cumsum(free) - 1                  # var[u]: u's variable if u is free
     unary = problem.unary_flat[slots[:, free_nodes].T]
 
-    # Edge cells gathered as energy() does; lu/lv[side, e]: local indices.
+    # Every edge's 2x2 block over its ends' sides (a folded end's two are one
+    # slot), cell (i, j) at edge_start + i + j * edge_stride as energy() reads it.
     local = slots - problem.offsets[:-1]
     u, v = problem.edge_nodes.T
-    lu, lv = local[:, u], local[:, v]
-
-    def cells(e, row, col):
-        return problem.table_buffer[problem.edge_start[e] + row + col * problem.edge_stride[e]]
-
+    cell = (problem.edge_start + local.take(u, axis=1)).T[:, :, None]
+    blocks = problem.table_buffer[cell + (problem.edge_stride * local.take(v, axis=1)).T[:, None]]
     fu, fv = free[u], free[v]
-    inner = np.flatnonzero(~fu & ~fv)         # edges between folded nodes
     base = sequential_sum(np.concatenate((
-        problem.unary_flat[slots[0, ~free]], cells(inner, lu[0, inner], lv[0, inner]))))
+        problem.unary_flat[slots[0, ~free]], blocks[~fu & ~fv, 0, 0])))
 
     # An edge with one free end adds to that end's unary row, in edge order.
     one = np.flatnonzero(fu != fv)
-    at_u = fu[one]
-    rows = np.where(at_u, lu[:, one], lu[0, one])
-    cols = np.where(at_u, lv[0, one], lv[:, one])
-    np.add.at(unary, var[np.where(at_u, u[one], v[one])], cells(one, rows, cols).T)
+    np.add.at(unary, var[np.where(fu[one], u[one], v[one])],
+              np.where(fu[one, None], blocks[one, :, 0], blocks[one, 0, :]))
 
-    both = np.flatnonzero(fu & fv)
-    blocks = cells(both[:, None, None], lu[:, both].T[:, :, None], lv[:, both].T[:, None, :])
+    both = fu & fv
+    blocks = blocks[both]
     row = {pair: r for r, pair in enumerate(zip(var[u[both]].tolist(), var[v[both]].tolist()))}
 
     # One penalty exceeds the energy difference of any two labelings, and

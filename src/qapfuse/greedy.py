@@ -14,9 +14,10 @@ while their quality is still judged by original energy.
 Costs are pushed, not pulled (index arrays in :class:`~qapfuse.model.Problem`):
 each slot keeps a running score, first its unary cost.  Assigning a node
 adds its table column, message-adjusted given a dual state, into each
-neighbour's scores, and taking a label sets its owner slots' scores to inf.
-So a score adds its neighbours' columns in the order they were assigned,
-and a visit is one argmin over its node's slots.
+neighbour's scores.  So a score adds its neighbours' columns in the order
+they were assigned, and a visit is an argmin over its node's slots: while
+the first minimum holds a taken label, that one score becomes inf and the
+argmin runs again.
 
 Randomness comes from numpy's PCG64 generator, seeded explicitly, so runs
 are reproducible across platforms.  Frontier sampling is uniform over the
@@ -41,19 +42,14 @@ def greedy_assignment(problem, rng, repar=None, adjusted=None):
     rng = np.random.default_rng(rng)
     n = problem.num_nodes
     score = problem.unary_flat.copy() if repar is None else matching_side(problem, repar)
-    # Each label's owner slots are the run label_slots[bounds[r]:bounds[r + 1] - 1].
-    bounds = problem.label_starts.tolist() + [problem.label_slots.size]
-    run = np.zeros(score.size + 1, dtype=np.int64)
-    run[problem.label_slots] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-
     table = problem.table_buffer if repar is None else adjusted
     table = adjusted_tables(problem, repar) if table is None else table
     dest, base, step = problem.push_dest, problem.push_table, problem.push_step
     offsets, push = problem.offsets.tolist(), problem.push_start.tolist()
     nbr_start, nbr_nodes = problem.nbr_start.tolist(), problem.nbr_nodes.tolist()
-    slot_labels, run = problem.slot_labels.tolist(), run.tolist()
+    slot_labels = problem.slot_labels.tolist()
 
-    labels = [DUMMY] * n
+    labels, taken = [DUMMY] * n, set()
     unassigned, frontier = list(range(n)), []
     seen = [False] * n  # assigned or on the frontier
     for _ in range(n):
@@ -65,10 +61,11 @@ def greedy_assignment(problem, rng, repar=None, adjusted=None):
 
         a, b = offsets[u], offsets[u + 1]
         choice = int(score[a:b].argmin())  # the first minimum; the dummy is last
-        if choice < b - a - 1:
-            labels[u] = slot_labels[a + choice]
-            r = run[a + choice]
-            score[problem.label_slots[bounds[r]:bounds[r + 1] - 1]] = np.inf
+        while choice < b - a - 1 and slot_labels[a + choice] in taken:  # not the dummy
+            score[a + choice] = np.inf
+            choice = int(score[a:b].argmin())
+        labels[u] = slot_labels[a + choice]
+        taken.add(labels[u])
         lo, hi = push[u], push[u + 1]
         score[dest[lo:hi]] += table[base[lo:hi] + choice * step[lo:hi]]
         for v in nbr_nodes[nbr_start[u]:nbr_start[u + 1]]:

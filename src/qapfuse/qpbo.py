@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import sequential_sum
+from .model import _raise_first, sequential_sum
 
 _EPS = 1e-12
 
@@ -51,15 +51,18 @@ class MaxFlow:
     an arc from one to the other closes a path, which is augmented by its
     bottleneck.  A tree arc that saturates orphans its child, which adopts
     a same-tree neighbour still rooted at the terminal, or else goes free
-    and orphans its own children.  The residual network is ``cap``.  A
-    capacity must be finite, and one at most 0 drops its arc."""
+    and orphans its own children.  The residual network is ``cap``.  Arcs
+    must join nodes with finite capacities, and one at most 0 is dropped."""
 
     def __init__(self, num_nodes, tails, heads, capacities):
         tails, heads = np.asarray(tails, dtype=np.int64), np.asarray(heads, dtype=np.int64)
         capacities = np.asarray(capacities, dtype=np.float64)
-        if not np.isfinite(capacities).all():
-            arc = np.flatnonzero(~np.isfinite(capacities))[0]
-            raise ValueError(f"arc {arc} ({tails[arc]} -> {heads[arc]}) has capacity {capacities[arc]}")
+        if not len(tails) == len(heads) == len(capacities):
+            raise ValueError(f"{len(tails)} tails, {len(heads)} heads, {len(capacities)} capacities")
+        outside = (np.minimum(tails, heads) < 0) | (np.maximum(tails, heads) >= num_nodes)
+        _raise_first([(np.flatnonzero(outside), f"is not in a {num_nodes}-node network"),
+                      (np.flatnonzero(~np.isfinite(capacities)), "has capacity {}")],
+                     lambda a, text: f"arc {a} ({tails[a]} -> {heads[a]}) " + text.format(capacities[a]))
         keep = capacities > 0.0
         tails, heads, capacities = tails[keep], heads[keep], capacities[keep]
         self.to = np.stack((heads, tails), 1).ravel().tolist()
@@ -212,6 +215,9 @@ def roof_duality(unary, pairs, tables, constant=0.0):
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     half = np.asarray(tables, dtype=np.float64).reshape(-1, 2, 2) / 2.0
     k = len(half_unary)
+    if (bad := np.flatnonzero((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= k))).size:
+        r = bad[0]
+        raise ValueError(f"pair row {r} ({i[r]}, {j[r]}): need two distinct variables in [0, {k})")
 
     # Copy node of variable v: 2 + 2v, anti-copy 3 + 2v; x = 1 is the sink
     # side.  A submodular table goes onto (copy, copy) and, complemented,

@@ -37,6 +37,23 @@ def test_shared_label_forces_one_dummy():
     assert winners == {0, 1}  # the seed decides who wins
 
 
+def test_node_skips_two_taken_labels():
+    # Nodes 0 and 1 each want one label; node 2 prefers label 0, then 1,
+    # then 2.  Visited last, it finds its two cheapest slots taken, so the
+    # argmin runs three times; visited second after node 0, twice.
+    p = qf.Problem(3, 3, [[0], [1], [0, 1, 2]],
+                   [np.array([-10.0, 0.0]), np.array([-10.0, 0.0]),
+                    np.array([-3.0, -2.0, -1.0, 0.0])])
+    expected = {(0, 1, 2), (0, qf.DUMMY, 1), (qf.DUMMY, 1, 0)}
+    for repar in (None, random_reparametrization(p, np.random.default_rng(5), scale=0.1)):
+        outcomes = set()
+        for seed in range(30):
+            x = qf.greedy_assignment(p, seed, repar)
+            assert np.array_equal(x, greedy_by_loops(p, seed, repar))
+            outcomes.add(tuple(x.tolist()))
+        assert outcomes == expected
+
+
 def test_feasible_and_never_below_optimum():
     rng = np.random.default_rng(31)
     for _ in range(5):

@@ -165,6 +165,32 @@ def test_maxflow_refuses_non_finite_capacities(capacity):
         qf.MaxFlow(3, [0, 2], [2, 1], [capacity, 1.0])
 
 
+@pytest.mark.parametrize("tails, heads, capacities, message", [
+    ([0, 5], [5, 1], [1.0, 1.0], "arc 0 (0 -> 5) is not in a 3-node network"),
+    ([0, 2, -1], [2, 1, 1], [1.0, 1.0, 1.0], "arc 2 (-1 -> 1) is not in a 3-node network"),
+    ([0, 2], [2, 3], [1.0, 1.0], "arc 1 (2 -> 3) is not in a 3-node network"),
+    ([0, 2], [2], [1.0, 1.0], "2 tails, 1 heads, 2 capacities"),
+    ([0, 2], [2, 1], [1.0], "2 tails, 2 heads, 1 capacities"),
+])
+def test_maxflow_refuses_malformed_arcs(tails, heads, capacities, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qf.MaxFlow(3, tails, heads, capacities)
+
+
+@pytest.mark.parametrize("pairs, message", [
+    # Unchecked, variable -1's copy and anti-copy are the source and the
+    # sink: the labels claimed both bits 0 at a "bound" of 0, yet bits
+    # (0, 1) cost -1.
+    ([[-1, 1]], "pair row 0 (-1, 1): need two distinct variables in [0, 2)"),
+    ([[0, 1], [0, 2]], "pair row 1 (0, 2): need two distinct variables in [0, 2)"),
+    ([[1, 1]], "pair row 0 (1, 1): need two distinct variables in [0, 2)"),
+])
+def test_roof_duality_refuses_malformed_pairs(pairs, message):
+    tables = [[[0.0, 5.0], [5.0, 0.0]]] * len(pairs)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qf.roof_duality([[0.0, 1.0], [0.0, -1.0]], pairs, tables)
+
+
 @pytest.mark.parametrize("source, sink, message", [
     (0, 0, "source and sink are the same node 0"),
     (0, 4, "sink 4 is not a node of a 4-node network"),
