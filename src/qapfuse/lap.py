@@ -2,15 +2,18 @@
 
 Two jobs live here.  :func:`solve_lap` solves the assignment-side problem
 exactly (each node takes a candidate or the zero-cost dummy, no label
-reused) for the LAP heuristic, and imports scipy.optimize at its first call
-only.  :func:`label_min_term` is the closed-form relaxation of the same costs
-in the dual bound: each label takes its cheapest owner when negative,
-dropping the one-label-per-node coupling, so it never exceeds the LAP optimum.
+reused) for the LAP heuristic; its first call loads scipy's compiled
+solver alone, never scipy.optimize.  :func:`label_min_term` is the
+closed-form relaxation of the same costs in the dual bound: each label
+takes its cheapest owner when negative, dropping the one-label-per-node
+coupling, so it never exceeds the LAP optimum.
 """
 
 import numpy as np
 
 from .model import DUMMY, assignment_side, sequential_sum
+
+_linear_sum_assignment = None  # scipy's, loaded by the first solve_lap call
 
 
 def solve_lap(problem, costs):
@@ -20,10 +23,22 @@ def solve_lap(problem, costs):
     ``assignment_side(problem, repar)``; the dummy slots are ignored, as
     the dummy always costs 0.  Returns ``(assignment, value)`` where the
     assignment maps each node to a candidate label or DUMMY and no label
-    repeats.  Solved by the Hungarian-class solver in scipy on a
-    rectangular matrix with one zero-cost dummy column per node.
+    repeats.  Solved on a rectangular matrix with one zero-cost dummy column
+    per node by scipy's shortest augmenting path (Crouse, IEEE TAES 2016).
     """
-    from scipy.optimize import linear_sum_assignment  # only LAP runs pay for this import
+    global _linear_sum_assignment
+    if _linear_sum_assignment is None:  # its extension alone: scipy.optimize costs 48 MB
+        import sys
+        from importlib import machinery, util
+        import scipy
+        try:
+            found = machinery.PathFinder.find_spec("_lsap", [f"{scipy.__path__[0]}/optimize"])
+            spec = util.spec_from_file_location("scipy.optimize._lsap", found.origin)
+            sys.modules[spec.name] = module = util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            _linear_sum_assignment = module.linear_sum_assignment
+        except AttributeError:  # no such extension, or no such function in it
+            raise ImportError(f"scipy {scipy.__version__}: no _lsap.linear_sum_assignment") from None
     n, L = problem.num_nodes, problem.num_labels
     matrix = np.full((n, L + n), np.inf)  # non-candidate cells
     matrix[np.arange(n), L + np.arange(n)] = 0.0  # private dummy columns
@@ -31,7 +46,7 @@ def solve_lap(problem, costs):
     real = problem.slot_labels != DUMMY
     matrix[node[real], problem.slot_labels[real]] = costs[real]
 
-    rows, cols = linear_sum_assignment(matrix)
+    rows, cols = _linear_sum_assignment(matrix)
     labels = np.full(n, DUMMY, dtype=np.int64)
     labels[rows] = np.where(cols < L, cols, DUMMY)
     # A non-candidate (inf) cell is never chosen, as the private dummy

@@ -209,11 +209,15 @@ def roof_duality(unary, pairs, tables, constant=0.0):
 
     ``unary`` (k, 2), ``pairs`` (P, 2) and ``tables`` (P, 2, 2) are in the
     module's flat format; ``constant`` is added to the reported bound.
-    Returns a :class:`QpboResult`.
+    Returns a :class:`QpboResult`.  Tables of another shape, or a pair row
+    that does not join two distinct variables, raise ValueError.
     """
     half_unary = np.asarray(unary, dtype=np.float64) / 2.0
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
-    half = np.asarray(tables, dtype=np.float64).reshape(-1, 2, 2) / 2.0
+    half = np.asarray(tables, dtype=np.float64) / 2.0
+    if half.shape != (len(i), 2, 2):
+        raise ValueError(f"tables has shape {half.shape}: need one 2x2 table "
+                         f"for each of {len(i)} pair rows")
     k = len(half_unary)
     if (bad := np.flatnonzero((i == j) | (np.minimum(i, j) < 0) | (np.maximum(i, j) >= k))).size:
         r = bad[0]

@@ -79,6 +79,15 @@ class TestSolveLap:
         b = qf.solve_lap(p, costs)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
+    def test_a_scipy_without_the_extension_raises_import_error(self, monkeypatch):
+        import scipy
+        from importlib.machinery import PathFinder
+        monkeypatch.setattr(qf.lap, "_linear_sum_assignment", None)
+        monkeypatch.setattr(PathFinder, "find_spec", classmethod(lambda cls, *args: None))
+        p, costs = random_lap_instance(np.random.default_rng(73))
+        with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: "):
+            qf.solve_lap(p, costs)
+
 
 class TestLabelMinTerm:
     def test_zero_when_all_nonnegative(self):

@@ -12,25 +12,29 @@ def test_every_exported_name_is_bound_once():
     assert [name for name in qf.__all__ if not hasattr(qf, name)] == []
 
 
-LAZY_SCIPY = """
+NO_SCIPY_OPTIMIZE = """
 import sys
 import numpy as np
 import qapfuse as qf
-seen = ["scipy.optimize" in sys.modules]
+seen = [("scipy.optimize" in sys.modules, "scipy.optimize._lsap" in sys.modules)]
 problem = qf.Problem(3, 3, [[0, 1], [1, 2], [0, 2]], [[-1.0, -2.0, 0.0]] * 3,
                      {(0, 1): np.ones((3, 3)), (1, 2): np.ones((3, 3))})
 qf.solve(problem, qf.SolverConfig(max_batches=2))
-seen.append("scipy.optimize" in sys.modules)
+seen.append(("scipy.optimize" in sys.modules, "scipy.optimize._lsap" in sys.modules))
 qf.solve(problem, qf.SolverConfig(max_batches=2, primal_heuristic="lap"))
-seen.append("scipy.optimize" in sys.modules)
+seen.append(("scipy.optimize" in sys.modules, "scipy.optimize._lsap" in sys.modules))
+import scipy.optimize
+seen.append(scipy.optimize.linear_sum_assignment is qf.lap._linear_sum_assignment)
 print(seen)
 """
 
 
-def test_scipy_optimize_loads_at_the_first_lap_solve():
-    # Importing the package and a greedy solve leave scipy.optimize unloaded.
+def test_lap_solves_never_load_scipy_optimize():
+    # Importing the package, a greedy solve and a LAP solve leave
+    # scipy.optimize unloaded; the LAP solve loads its one extension, which
+    # a later import of scipy.optimize reuses.
     src = Path(__file__).resolve().parent.parent / "src"
-    result = subprocess.run([sys.executable, "-c", LAZY_SCIPY], capture_output=True, text=True,
-                            env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    result = subprocess.run([sys.executable, "-c", NO_SCIPY_OPTIMIZE], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[False, False, True]"
+    assert result.stdout.strip() == "[(False, False), (False, False), (False, True), True]"

@@ -191,6 +191,19 @@ def test_roof_duality_refuses_malformed_pairs(pairs, message):
         qf.roof_duality([[0.0, 1.0], [0.0, -1.0]], pairs, tables)
 
 
+@pytest.mark.parametrize("tables, message", [
+    # Unchecked, both reached the routing's np.stack, whose shape error
+    # named neither argument.
+    (NO_TABLES, "tables has shape (0, 2, 2): need one 2x2 table for each of 1 pair rows"),
+    ([[[0.0, 5.0], [5.0, 0.0]]] * 2,
+     "tables has shape (2, 2, 2): need one 2x2 table for each of 1 pair rows"),
+    ([0.0, 5.0, 5.0, 0.0], "tables has shape (4,): need one 2x2 table for each of 1 pair rows"),
+])
+def test_roof_duality_refuses_tables_not_one_per_pair_row(tables, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        qf.roof_duality([[0.0, 1.0], [0.0, -1.0]], [[0, 1]], tables)
+
+
 @pytest.mark.parametrize("source, sink, message", [
     (0, 0, "source and sink are the same node 0"),
     (0, 4, "sink 4 is not a node of a 4-node network"),
