@@ -2,11 +2,10 @@
 
 Two jobs live here.  :func:`solve_lap` solves the assignment-side problem
 exactly (each node takes a candidate or the zero-cost dummy, no label
-reused) for the LAP heuristic; its first call loads scipy's compiled
-solver alone, never scipy.optimize.  :func:`label_min_term` is the
-closed-form relaxation of the same costs in the dual bound: each label
-takes its cheapest owner when negative, dropping the one-label-per-node
-coupling, so it never exceeds the LAP optimum.
+reused) for the LAP heuristic with scipy's compiled solver, loaded alone.
+:func:`label_min_term` is the closed-form relaxation of the same costs in
+the dual bound: each label takes its cheapest owner when negative,
+dropping the one-label-per-node coupling, so it never exceeds the LAP optimum.
 """
 
 import numpy as np

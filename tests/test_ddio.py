@@ -630,7 +630,8 @@ def test_chunks_of_e_and_blank_lines_skip_the_kind_scan(monkeypatch, tail):
         assert _read_or_error(_parse_dd_columns, io.StringIO(text.replace("\n", end))) == expected
         assert len(chunks) == 4 and read_lines == []
         assert [i for i, c in enumerate(chunks) if any(c is lines for lines in scanned)] == scan
-        chunks.clear(), scanned.clear()
+        chunks.clear()
+        scanned.clear()
 
 
 def test_string_chunks_with_empty_lines_skip_the_kind_scan(monkeypatch):

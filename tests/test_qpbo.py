@@ -192,8 +192,8 @@ def test_roof_duality_refuses_malformed_pairs(pairs, message):
 
 
 @pytest.mark.parametrize("tables, message", [
-    # Unchecked, both reached the routing's np.stack, whose shape error
-    # named neither argument.
+    # Unchecked, the first two reached the routing's np.stack, whose shape
+    # error named neither argument, and a flat array was read as one table.
     (NO_TABLES, "tables has shape (0, 2, 2): need one 2x2 table for each of 1 pair rows"),
     ([[[0.0, 5.0], [5.0, 0.0]]] * 2,
      "tables has shape (2, 2, 2): need one 2x2 table for each of 1 pair rows"),
