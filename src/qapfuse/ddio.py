@@ -158,33 +158,19 @@ def _pick(lines, at):
 
 
 def _fields(lines, kind, width):
-    """Columns (integer fields, then the cost) of the lines of one kind and
-    those lines' positions, blank lines skipped; None if numpy's C reader
-    refuses one of them."""
+    """Columns (integer fields, then the cost) of the lines of one kind, or
+    None if numpy's C reader refuses one of them."""
     dtype = np.dtype(", ".join(["U2"] + ["i8"] * (width - 2) + ["f8"]))
     try:
         rows = np.loadtxt(lines, dtype, comments=None, ndmin=1) if lines else np.zeros(0, dtype)
     except ValueError:
         return None
-    at = np.arange(len(lines))
-    if len(rows) < len(lines):  # the C reader skips the lines str.strip() empties
-        at = _filled(lines)
     # A first field longer than the kind stays unequal to it in U2, but
     # numpy drops a NUL that ends a field, where Python keeps it.
-    if len(rows) != len(at) or (rows["f0"] != kind).any() or "\0" in "".join(lines):
+    if len(rows) != len(lines) or (rows["f0"] != kind).any() or "\0" in "".join(lines):
         return None
     # Copies, so that the rows, kind field and all, are freed with the chunk.
-    return [rows[name].copy() for name in dtype.names[1:]], at
-
-
-def _filled(lines):
-    """Positions of the lines that ``str.strip()`` leaves non-empty: those
-    neither empty nor all whitespace (``str.isspace``)."""
-    blank = bytearray(map(str.isspace, lines))
-    at = -1
-    for _ in range(lines.count("")):
-        blank[at := lines.index("", at + 1)] = True
-    return np.flatnonzero(~np.frombuffer(blank, dtype=bool))
+    return [rows[name].copy() for name in dtype.names[1:]]
 
 
 def _header(fields):
@@ -202,10 +188,10 @@ def _read_chunk(lines, header, seen):
     seen, the assignment and pairwise columns and the pairwise lines'
     positions in the chunk; None if a line breaks a rule or the C reader
     refuses one."""
-    # Pairwise and blank lines only, likely: the C reader refuses any other.
+    # Pairwise lines only, likely: the C reader refuses any other line.
     if header is not None and lines[0][:1] == lines[-1][:1] == "e":
         if (terms := _fields(lines, "e", 4)) is not None:
-            return header, seen, _fields([], "a", 5)[0], *terms
+            return header, seen, _fields([], "a", 5), terms, np.arange(len(lines))
     # A line's kind is its first character, or its first after leading
     # whitespace; a blank line counts as a comment.
     heads = "".join([raw[:1] or "\n" for raw in lines])
@@ -224,7 +210,6 @@ def _read_chunk(lines, header, seen):
     assignments, terms = _fields(_pick(lines, a_at), "a", 5), _fields(_pick(lines, e_at), "e", 4)
     if assignments is None or terms is None:
         return None
-    assignments, terms = assignments[0], terms[0]
     if a_at.size:
         n_left, n_right, n_assign, _ = header
         ids, left, right, _ = assignments

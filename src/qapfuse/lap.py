@@ -12,8 +12,6 @@ import numpy as np
 
 from .model import DUMMY, assignment_side, sequential_sum
 
-_linear_sum_assignment = None  # scipy's, loaded by the first solve_lap call
-
 
 def solve_lap(problem, costs):
     """Exact minimum of the linear assignment over ``problem``'s candidates.
@@ -25,19 +23,15 @@ def solve_lap(problem, costs):
     repeats.  Solved on a rectangular matrix with one zero-cost dummy column
     per node by scipy's shortest augmenting path (Crouse, IEEE TAES 2016).
     """
-    global _linear_sum_assignment
-    if _linear_sum_assignment is None:  # its extension alone: scipy.optimize costs 48 MB
-        import sys
-        from importlib import machinery, util
-        import scipy
-        try:
-            found = machinery.PathFinder.find_spec("_lsap", [f"{scipy.__path__[0]}/optimize"])
-            spec = util.spec_from_file_location("scipy.optimize._lsap", found.origin)
-            sys.modules[spec.name] = module = util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            _linear_sum_assignment = module.linear_sum_assignment
-        except AttributeError:  # no such extension, or no such function in it
-            raise ImportError(f"scipy {scipy.__version__}: no _lsap.linear_sum_assignment") from None
+    import importlib.machinery, importlib.util, scipy, sys
+    name = "scipy.optimize._lsap"  # alone: scipy.optimize costs 48 MB, and its import reuses it
+    if (module := sys.modules.get(name)) is None:
+        spec = importlib.machinery.PathFinder.find_spec(name, [f"{scipy.__path__[0]}/optimize"])
+        if spec is not None:
+            spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+            sys.modules[name] = module  # only once loaded whole
+    if not hasattr(module, "linear_sum_assignment"):
+        raise ImportError(f"scipy {scipy.__version__}: no {name}.linear_sum_assignment")
     n, L = problem.num_nodes, problem.num_labels
     matrix = np.full((n, L + n), np.inf)  # non-candidate cells
     matrix[np.arange(n), L + np.arange(n)] = 0.0  # private dummy columns
@@ -45,7 +39,7 @@ def solve_lap(problem, costs):
     real = problem.slot_labels != DUMMY
     matrix[node[real], problem.slot_labels[real]] = costs[real]
 
-    rows, cols = _linear_sum_assignment(matrix)
+    rows, cols = module.linear_sum_assignment(matrix)
     labels = np.full(n, DUMMY, dtype=np.int64)
     labels[rows] = np.where(cols < L, cols, DUMMY)
     # A non-candidate (inf) cell is never chosen, as the private dummy

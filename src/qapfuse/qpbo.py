@@ -215,6 +215,8 @@ def roof_duality(unary, pairs, tables, constant=0.0):
     half_unary = np.asarray(unary, dtype=np.float64) / 2.0
     i, j = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
     half = np.asarray(tables, dtype=np.float64) / 2.0
+    if half.size == len(i) == 0:  # no tables for no pairs, such as [] for []
+        half = half.reshape(0, 2, 2)
     if half.shape != (len(i), 2, 2):
         raise ValueError(f"tables has shape {half.shape}: need one 2x2 table "
                          f"for each of {len(i)} pair rows")

@@ -602,55 +602,6 @@ def test_chunks_that_start_and_end_with_e_lines_read_as_the_line_oracle(monkeypa
     assert (len(expected) == 4) == (tail == "valid" and middle not in ODD_MIDDLE_LINES[-3:])
 
 
-@pytest.mark.parametrize("tail", ["valid", "unknown id"])
-def test_chunks_of_e_and_blank_lines_skip_the_kind_scan(monkeypatch, tail):
-    # Five-line chunks after the header and the a lines: e lines first and
-    # last, with every form of blank line between them, alone and in runs.
-    # The C reader skips the blank lines; their rows are kept, and the e
-    # lines' positions must count the blanks, so that an unknown id in the
-    # last chunk is reported at the line the line oracle names.
-    bad = "e 1 2 4.0" if tail == "valid" else "e 1 9 4.0"
-    body = (["a 0 0 0 1.0", "a 1 0 1 -1.0", "a 2 1 0 2.0", "a 3 1 1 0.0"]
-            + ["e 0 2 1.0", "", "e 0 3 2.0", "   ", "e 1 3 3.0"]
-            + ["e 1 2 4.0", "\t", "\r", " \t\x0c\u3000", "e 3 0 5.0"]
-            + ["e 2 1 6.0", "", "", bad, "e 0 3 7.0"])
-    terms = sum(line.startswith("e") for line in body)
-    text = "\n".join([f"p 2 3 4 {terms}"] + body) + "\n"
-    expected = _read_or_error(_oracle_columns, text)
-    assert (len(expected) == 4) == (tail == "valid")
-    monkeypatch.setattr(ddio, "_CHUNK_LINES", 5)
-    assert _read_or_error(_parse_dd_columns, text) == expected
-    # A stream is cut every five lines; a string only every 32 * 5 characters.
-    read_lines = _first_arguments(monkeypatch, "_read_lines")
-    chunks = _first_arguments(monkeypatch, "_read_chunk")
-    scanned = _first_arguments(monkeypatch, "_pick")
-    # With CRLF line ends the CR-only line reaches the C reader as "\r\r\n",
-    # which it refuses, so that chunk alone takes the kind scan.
-    for end, scan in (("\n", [0]), ("\r\n", [0, 2])):
-        assert _read_or_error(_parse_dd_columns, io.StringIO(text.replace("\n", end))) == expected
-        assert len(chunks) == 4 and read_lines == []
-        assert [i for i, c in enumerate(chunks) if any(c is lines for lines in scanned)] == scan
-        chunks.clear()
-        scanned.clear()
-
-
-def test_string_chunks_with_empty_lines_skip_the_kind_scan(monkeypatch):
-    # A string is cut at LF, so its blank lines are empty strings; a chunk
-    # that starts and ends with an e line and holds some still takes the
-    # one-call read, and the columns and lines match the line oracle.
-    text = _grid_text(3)
-    lines = text.splitlines()
-    text = "\n".join(line + ("\n" if i % 3 == 2 and i > 10 else "") for i, line in enumerate(lines))
-    expected = _read_or_error(_oracle_columns, text)
-    monkeypatch.setattr(ddio, "_CHUNK_LINES", 5)
-    chunks = _first_arguments(monkeypatch, "_read_chunk")
-    scanned = _first_arguments(monkeypatch, "_pick")
-    assert _read_or_error(_parse_dd_columns, text) == expected and len(expected) == 4
-    one_call = [c for c in chunks if c[0][:1] == c[-1][:1] == "e"]
-    assert any("" in c for c in one_call)
-    assert not any(c is lines for c in one_call for lines in scanned)
-
-
 def _grid_text(n):
     """A `.dd` text in which each of n nodes has every one of n labels and
     each two nodes are joined by a term for every two of their labels."""

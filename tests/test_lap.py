@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -79,14 +81,44 @@ class TestSolveLap:
         b = qf.solve_lap(p, costs)
         assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
-    def test_a_scipy_without_the_extension_raises_import_error(self, monkeypatch):
-        import scipy
+    def test_a_loaded_extension_is_reused(self, monkeypatch):
+        # Loaded already, as by an import of scipy.optimize: never found again.
+        import sys
         from importlib.machinery import PathFinder
-        monkeypatch.setattr(qf.lap, "_linear_sum_assignment", None)
-        monkeypatch.setattr(PathFinder, "find_spec", classmethod(lambda cls, *args: None))
+        p, costs = random_lap_instance(np.random.default_rng(71))
+        labels, value = qf.solve_lap(p, costs)
+        calls = []
+        lsa = sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+        lsap = types.SimpleNamespace(linear_sum_assignment=lambda m: calls.append(m) or lsa(m))
+        monkeypatch.setitem(sys.modules, "scipy.optimize._lsap", lsap)
+        monkeypatch.setattr(PathFinder, "find_spec", None)
+        again = qf.solve_lap(p, costs)
+        assert np.array_equal(again[0], labels) and again[1] == value and len(calls) == 1
+
+    @pytest.mark.parametrize("found", ["nothing", "a module without the function", "a failing load"])
+    def test_a_scipy_without_the_function_raises_import_error(self, monkeypatch, found):
+        # A load that fails leaves nothing in sys.modules for a later import
+        # to reuse; a whole module without the function is kept.
+        import importlib.util
+        import scipy
+        import sys
+        from importlib.machinery import PathFinder
+
+        class Loader:
+            def create_module(self, spec):
+                return None
+
+            def exec_module(self, module):
+                if found == "a failing load":
+                    raise ImportError(f"scipy {scipy.__version__}: the load failed")
+
+        spec = None if found == "nothing" else importlib.util.spec_from_loader("x", Loader())
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lsap", raising=False)
+        monkeypatch.setattr(PathFinder, "find_spec", classmethod(lambda cls, *args: spec))
         p, costs = random_lap_instance(np.random.default_rng(73))
         with pytest.raises(ImportError, match=f"scipy {scipy.__version__}: "):
             qf.solve_lap(p, costs)
+        assert ("scipy.optimize._lsap" in sys.modules) == (found == "a module without the function")
 
 
 class TestLabelMinTerm:

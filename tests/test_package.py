@@ -23,8 +23,9 @@ qf.solve(problem, qf.SolverConfig(max_batches=2))
 seen.append(("scipy.optimize" in sys.modules, "scipy.optimize._lsap" in sys.modules))
 qf.solve(problem, qf.SolverConfig(max_batches=2, primal_heuristic="lap"))
 seen.append(("scipy.optimize" in sys.modules, "scipy.optimize._lsap" in sys.modules))
+used = sys.modules["scipy.optimize._lsap"].linear_sum_assignment
 import scipy.optimize
-seen.append(scipy.optimize.linear_sum_assignment is qf.lap._linear_sum_assignment)
+seen.append(scipy.optimize.linear_sum_assignment is used)
 print(seen)
 """
 

@@ -222,6 +222,12 @@ def test_single_variable_exact():
     assert result.persistency_certified[0]
 
 
+@pytest.mark.parametrize("tables", [[], np.empty((0, 4)), NO_TABLES])
+def test_no_pairs_take_any_empty_tables(tables):
+    result = qf.roof_duality([[5.0, 3.0]], [], tables)
+    assert result.labels.tolist() == [1] and result.flow_value == 3.0
+
+
 def test_two_variable_submodular_matches_enumeration():
     rng = np.random.default_rng(17)
     for _ in range(100):
