@@ -150,13 +150,6 @@ def _ints(values):
 _A, _C, _E = map(ord, "ace")
 
 
-def _pick(lines, at):
-    """The lines at the ascending positions ``at``."""
-    if at.size and at[-1] - at[0] + 1 == at.size:
-        return lines[at[0]:at[-1] + 1]
-    return [lines[i] for i in at.tolist()]
-
-
 def _fields(lines, kind, width):
     """Columns (integer fields, then the cost) of the lines of one kind, or
     None if numpy's C reader refuses one of them."""
@@ -207,7 +200,8 @@ def _read_chunk(lines, header, seen):
     if other.size or (header is None and (is_a | is_e).any()):
         return None
     a_at, e_at = np.flatnonzero(is_a), np.flatnonzero(is_e)
-    assignments, terms = _fields(_pick(lines, a_at), "a", 5), _fields(_pick(lines, e_at), "e", 4)
+    assignments = _fields([lines[i] for i in a_at.tolist()], "a", 5)
+    terms = _fields([lines[i] for i in e_at.tolist()], "e", 4)
     if assignments is None or terms is None:
         return None
     if a_at.size:

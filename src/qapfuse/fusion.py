@@ -191,27 +191,20 @@ def penalty_free_labelings(fp):
 def _improve(fp, bits, rng):
     """Seeded 1-swap descent on the binary energy (penalties included) over
     flat lists (no containers for the garbage collector to walk); returns
-    the bits and whether they are settled.  Numpy decides that first,
-    summing each first-pass delta in the loop's order down zero-padded rows
-    (no pairwise sums).  Variable i's pairs, in pair order, are entries
-    ``start[i]:start[i + 1]``; entry q reads cell ``base[q] + 2 * bits[i] +
-    bits[other[q]]`` of its table turned to put i's bit first."""
+    the bits and whether they are settled: whether the first pass flipped
+    nothing.  Each delta is summed unary first, then over i's pairs in pair
+    order: entries ``start[i]:start[i + 1]``, where entry q reads cell
+    ``base[q] + 2 * bits[i] + bits[other[q]]`` of its table turned to put
+    i's bit first."""
     k, count = fp.num_variables, len(fp.pairs)
     order = np.argsort(fp.pairs.ravel(), kind="stable")
     owner, other = fp.pairs.ravel()[order], fp.pairs[:, ::-1].ravel()[order]
     base = (4 * (np.arange(count)[:, None] + [0, count])).ravel()[order]
     start = np.searchsorted(owner, np.arange(k + 1))
-    cells = np.concatenate((fp.tables, fp.tables.transpose(0, 2, 1))).ravel()
-    now = base + bits[other] + 2 * bits[owner]  # ^ 2 flips i's bit
-    rows = np.zeros((np.diff(start).max(initial=0) + 1, k))
-    rows[0] = fp.unary[np.arange(k), 1 - bits] - fp.unary[np.arange(k), bits]
-    rows[1 + np.arange(2 * count) - start[owner], owner] = cells[now ^ 2] - cells[now]
-    if not np.any(np.add.accumulate(rows)[-1] < 0.0):
-        rng.permutation(k)
-        return bits, True
-    unary, bits, cells = fp.unary.ravel().tolist(), bits.tolist(), cells.tolist()
+    cells = np.concatenate((fp.tables, fp.tables.transpose(0, 2, 1))).ravel().tolist()
+    unary, bits = fp.unary.ravel().tolist(), bits.tolist()
     other, base, start = other.tolist(), base.tolist(), start.tolist()
-    for _ in range(_IMPROVE_ROUNDS):
+    for rounds in range(_IMPROVE_ROUNDS):
         changed = False
         for i in rng.permutation(k).tolist():
             old, new = bits[i], 1 - bits[i]
@@ -224,7 +217,7 @@ def _improve(fp, bits, rng):
                 changed = True
         if not changed:
             break
-    return np.array(bits, dtype=np.int64), False
+    return np.array(bits, dtype=np.int64), rounds == 0 and not changed
 
 
 def fuse(problem, x1, x2, mode="qpbo-i", rng=0, *, memo=None):

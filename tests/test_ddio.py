@@ -554,20 +554,28 @@ def _first_arguments(monkeypatch, name):
 def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     # The line loop reads every file right, so only this test sees a C
     # reader that refuses well-formed chunks.  Every chunk after the first
-    # holds e lines only, so it must skip the kind scan too.
+    # holds e lines only, so it must skip the kind scan too: its e lines
+    # are the chunk's own list, where the first chunk's are the scan's.
     text = _benchmark_text(family, size)
     refused, read_lines = [], ddio._read_lines
+    e_reads, fields = [], ddio._fields
 
     def spy(lines, first, *rest):
         refused.append(first)
         return read_lines(lines, first, *rest)
 
+    def fields_spy(lines, kind, width):
+        if kind == "e":
+            e_reads.append(lines)
+        return fields(lines, kind, width)
+
     monkeypatch.setattr(ddio, "_read_lines", spy)
+    monkeypatch.setattr(ddio, "_fields", fields_spy)
     chunks = _first_arguments(monkeypatch, "_read_chunk")
-    scanned = _first_arguments(monkeypatch, "_pick")
     inst = qf.parse_dd(text)
     assert refused == []
-    assert len(chunks) > 4 and scanned and all(lines is chunks[0] for lines in scanned)
+    assert len(chunks) > 4 and len(e_reads) == len(chunks) and e_reads[0] is not chunks[0]
+    assert all(lines is chunk for lines, chunk in zip(e_reads[1:], chunks[1:]))
     assert len(inst.assignments) + len(inst.pairwise_terms) + 1 == text.count("\n")
     assert [c.dtype for c in inst.pairwise_terms.columns] == [np.int64, np.int64, np.float64]
 
