@@ -2,7 +2,7 @@
 report fusion search-space bounds.
 
 Exit codes: 0 on success, 2 on usage errors, 1 on runtime errors (missing
-files, parse errors, violated preconditions).  Results go to stdout,
+files or scipy, parse errors, violated preconditions).  Results go to stdout,
 diagnostics to stderr.  Trace files written by ``solve`` are byte-identical
 across reruns with the same seed and flags (absent a time budget).
 """
@@ -140,7 +140,7 @@ def main(argv=None):
         if args.subcommand == "fuse":
             return run_fuse(args)
         return run_bound(args)
-    except (OSError, ParseError, ValueError, RuntimeError) as exc:
+    except (OSError, ImportError, ParseError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

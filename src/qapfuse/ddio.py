@@ -14,12 +14,14 @@ lines reference two existing assignments with distinct left indices;
 repeated (id1, id2) pairs accumulate additively.  Integers and costs read
 as Python's ``int`` and ``float`` read them.
 
-`parse_dd` reads the stream in chunks of 16,384 lines with numpy's C text
-reader, which reads a subset of that grammar to the same values: a chunk
-of e lines after the header in one call, other chunks kind by kind.  A
-chunk it refuses, or that breaks a rule, is read a line at a time, which
-reads it or names its first bad line.  Whole-file checks run a chunk at a
-time and columns are joined one by one: a load holds a few per-term arrays.
+`parse_dd` reads the stream in chunks of 16,384 lines and cuts each into
+three runs: the lines before its first a or e line, the a lines from
+there, and the rest.  numpy's C text reader, which reads a subset of the
+grammar to the same values, reads the a run, and a rest that starts and
+ends with an e line, in one call.  Any other run, one it refuses, or one
+that breaks a rule is read a line at a time, which reads it or names its
+first bad line.  Whole-file checks run a run at a time and columns are
+joined one by one: a load holds a few per-term arrays.
 
 Proposal files carry one assignment per line: n_left whitespace-separated
 integers, each a right-point index or -1 for the dummy.
@@ -41,7 +43,7 @@ import numpy as np
 from .model import Problem, validate_assignment
 
 # Lines per chunk: a chunk's lines and rows, alive together, set the load's
-# memory peak, and the first chunk (header, a lines) takes the kind scan.
+# memory peak.
 _CHUNK_LINES = 1 << 14
 
 
@@ -147,9 +149,6 @@ def _ints(values):
         return np.array(values, dtype=object)
 
 
-_A, _C, _E = map(ord, "ace")
-
-
 def _fields(lines, kind, width):
     """Columns (integer fields, then the cost) of the lines of one kind, or
     None if numpy's C reader refuses one of them."""
@@ -166,54 +165,27 @@ def _fields(lines, kind, width):
     return [rows[name].copy() for name in dtype.names[1:]]
 
 
-def _header(fields):
-    """The four numbers of a well-formed header line's fields, or None."""
-    try:
-        numbers = tuple(int(f) for f in fields[1:])
-    except ValueError:
+def _read_run(lines, header, seen):
+    """Read a run of a lines, or of e lines, in one C reader call, after the
+    header and the sorted assignment ids of the runs before it.  Returns
+    what `_read_lines` does; None for any other run, or if a line breaks a
+    rule or the C reader refuses one."""
+    kind = lines[0][:1]
+    if header is None or kind not in ("a", "e") or lines[-1][:1] != kind:
         return None
-    return numbers if fields[0] == "p" and len(numbers) == 4 and min(numbers) >= 0 else None
-
-
-def _read_chunk(lines, header, seen):
-    """Read one chunk of lines as columns, after the header and the sorted
-    assignment ids of the chunks before it.  Returns the header, the ids
-    seen, the assignment and pairwise columns and the pairwise lines'
-    positions in the chunk; None if a line breaks a rule or the C reader
-    refuses one."""
-    # Pairwise lines only, likely: the C reader refuses any other line.
-    if header is not None and lines[0][:1] == lines[-1][:1] == "e":
-        if (terms := _fields(lines, "e", 4)) is not None:
-            return header, seen, _fields([], "a", 5), terms, np.arange(len(lines))
-    # A line's kind is its first character, or its first after leading
-    # whitespace; a blank line counts as a comment.
-    heads = "".join([raw[:1] or "\n" for raw in lines])
-    kind = np.frombuffer(heads.encode("utf-32-le", "surrogatepass"), dtype=np.uint32).copy()
-    for i in np.flatnonzero((kind != _A) & (kind != _E) & (kind != _C)).tolist():
-        line = lines[i].strip()
-        kind[i] = ord(line[0]) if line else _C
-    is_a, is_e = kind == _A, kind == _E
-    other = np.flatnonzero(~(is_a | is_e | (kind == _C)))
-    if header is None and other.size and not (is_a | is_e)[:other[0]].any():
-        header = _header(lines[other[0]].split())
-        other = other[1:] if header else other
-    if other.size or (header is None and (is_a | is_e).any()):
+    if (columns := _fields(lines, kind, 5 if kind == "a" else 4)) is None:
         return None
-    a_at, e_at = np.flatnonzero(is_a), np.flatnonzero(is_e)
-    assignments = _fields([lines[i] for i in a_at.tolist()], "a", 5)
-    terms = _fields([lines[i] for i in e_at.tolist()], "e", 4)
-    if assignments is None or terms is None:
+    if kind == "e":
+        return header, seen, _fields([], "a", 5), columns, np.arange(len(lines))
+    n_left, n_right, n_assign, _ = header
+    ids, left, right, _ = columns
+    if any(c.min() < 0 or c.max() >= n for c, n in
+           ((ids, n_assign), (left, n_left), (right, n_right))):
         return None
-    if a_at.size:
-        n_left, n_right, n_assign, _ = header
-        ids, left, right, _ = assignments
-        if any(c.min() < 0 or c.max() >= n for c, n in
-               ((ids, n_assign), (left, n_left), (right, n_right))):
-            return None
-        seen = np.sort(np.concatenate((seen, ids)))
-        if np.any(seen[1:] == seen[:-1]):
-            return None
-    return header, seen, assignments, terms, e_at
+    seen = np.sort(np.concatenate((seen, ids)))
+    if np.any(seen[1:] == seen[:-1]):
+        return None
+    return header, seen, columns, _fields([], "e", 4), np.arange(0)
 
 
 def _columns(records, width):
@@ -223,9 +195,11 @@ def _columns(records, width):
 
 
 def _read_lines(lines, first, header, seen):
-    """Read a chunk a line at a time, after the header and the sorted
-    assignment ids of the chunks before it; ``first`` is the number of its
-    first line.  Raises its first error, or returns what `_read_chunk` does."""
+    """Read a run a line at a time, after the header and the sorted
+    assignment ids of the runs before it; ``first`` is the number of its
+    first line.  Raises its first error, or returns the header, the ids
+    seen, the assignment and pairwise columns and the pairwise lines'
+    positions in the run."""
     known, a_records, e_records, e_at = set(seen.tolist()), [], [], []
     for lineno, raw in enumerate(lines, start=first):
         line = raw.strip()
@@ -287,10 +261,17 @@ def parse_dd(source):
     header, seen, assignments, terms = None, np.zeros(0, dtype=np.int64), [], []
     first = 1
     for lines in _chunks(source):
-        chunk = _read_chunk(lines, header, seen) or _read_lines(lines, first, header, seen)
-        header, seen, chunk_assignments, chunk_terms, e_at = chunk
-        assignments.append(chunk_assignments)
-        terms.append(chunk_terms + [first, e_at.astype(np.uint32)])
+        # Three runs: the lines before the first a or e line, the a lines
+        # from there, and the rest.
+        a_from = next((i for i, line in enumerate(lines) if line[:1] in ("a", "e")), len(lines))
+        rest_from = next((i for i in range(a_from, len(lines)) if lines[i][:1] != "a"), len(lines))
+        for start, run in ((first, lines[:a_from]), (first + a_from, lines[a_from:rest_from]),
+                           (first + rest_from, lines[rest_from:])):
+            if run:
+                read = _read_run(run, header, seen) or _read_lines(run, start, header, seen)
+                header, seen, run_assignments, run_terms, e_at = read
+                assignments.append(run_assignments)
+                terms.append(run_terms + [start, e_at.astype(np.uint32)])
         first += len(lines)
 
     # The checks that need the whole file.
@@ -300,7 +281,7 @@ def parse_dd(source):
     ids, left, right, cost = (np.concatenate(c) for c in zip(*assignments))
     if ids.size != n_assign:
         raise ParseError(f"header promises {n_assign} assignments, found {ids.size}")
-    if (found := sum(chunk[0].size for chunk in terms)) != n_pair:
+    if (found := sum(run[0].size for run in terms)) != n_pair:
         raise ParseError(f"header promises {n_pair} pairwise terms, found {found}")
 
     # The ids are now a permutation of range(n_assign); an id out of range,
@@ -316,8 +297,8 @@ def parse_dd(source):
                 raise ParseError("pairwise term joins two assignments of the same left point", line)
             raise ParseError("pairwise term references unknown assignment id "
                              f"{b if 0 <= a < n_assign else a}", line)
-    # Each chunk's piece of a column is dropped as the column is joined.
-    id1, id2, pair_cost = (np.concatenate([chunk.pop(0) for chunk in terms]) for _ in range(3))
+    # Each run's piece of a column is dropped as the column is joined.
+    id1, id2, pair_cost = (np.concatenate([run.pop(0) for run in terms]) for _ in range(3))
     return DdInstance(n_left, n_right,
                       _Records(DdAssignment, [c[order] for c in (ids, left, right, cost)], header),
                       _Records(DdPairwiseTerm, [id1, id2, pair_cost], header))

@@ -78,6 +78,17 @@ class TestSolve:
         assert code == 1
         assert "line 2" in err
 
+    def test_scipy_without_its_lap_solver_is_runtime_error(self, two_node_dd, monkeypatch,
+                                                            capsys):
+        def solve_lap(problem, costs):
+            raise ImportError("scipy 0.0: no scipy.optimize._lsap.linear_sum_assignment")
+
+        monkeypatch.setattr(qf.solver, "solve_lap", solve_lap)
+        code = main(["solve", two_node_dd, "--primal", "lap"])
+        out = capsys.readouterr()
+        assert code == 1 and out.out == ""
+        assert out.err == "error: scipy 0.0: no scipy.optimize._lsap.linear_sum_assignment\n"
+
     def test_cr_only_file_fails_as_its_text(self, tmp_path, capsys):
         # LF or CRLF end a line; a lone CR is whitespace inside one.
         text = TWO_NODE.replace("\n", "\r")

@@ -538,76 +538,74 @@ def _benchmark_text(family, size):
     return instances.relabel(make(0, size), 1)[0].dd_text()
 
 
-def _first_arguments(monkeypatch, name):
-    """Wrap ``ddio.<name>``; the list of the first arguments of its calls."""
-    calls, wrapped = [], getattr(ddio, name)
-
-    def spy(first, *rest):
-        calls.append(first)
-        return wrapped(first, *rest)
-
-    monkeypatch.setattr(ddio, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("family,size", [("knn", 300), ("dense", 30)])
 def test_benchmark_texts_never_reach_the_line_loop(monkeypatch, family, size):
     # The line loop reads every file right, so only this test sees a C
-    # reader that refuses well-formed chunks.  Every chunk after the first
-    # holds e lines only, so it must skip the kind scan too: its e lines
-    # are the chunk's own list, where the first chunk's are the scan's.
+    # reader that refuses well-formed runs.  The line loop reads the header
+    # alone; the C reader reads the a lines in one call and each chunk's e
+    # lines in one call.
     text = _benchmark_text(family, size)
-    refused, read_lines = [], ddio._read_lines
-    e_reads, fields = [], ddio._fields
+    line_runs, read_lines = [], ddio._read_lines
+    reads, fields = [], ddio._fields
 
-    def spy(lines, first, *rest):
-        refused.append(first)
-        return read_lines(lines, first, *rest)
+    def lines_spy(lines, *rest):
+        line_runs.append(lines)
+        return read_lines(lines, *rest)
 
     def fields_spy(lines, kind, width):
-        if kind == "e":
-            e_reads.append(lines)
+        if lines:
+            reads.append((kind, width, lines))
         return fields(lines, kind, width)
 
-    monkeypatch.setattr(ddio, "_read_lines", spy)
+    monkeypatch.setattr(ddio, "_read_lines", lines_spy)
     monkeypatch.setattr(ddio, "_fields", fields_spy)
-    chunks = _first_arguments(monkeypatch, "_read_chunk")
     inst = qf.parse_dd(text)
-    assert refused == []
-    assert len(chunks) > 4 and len(e_reads) == len(chunks) and e_reads[0] is not chunks[0]
-    assert all(lines is chunk for lines, chunk in zip(e_reads[1:], chunks[1:]))
+    chunks = list(ddio._chunks(text))
+    assert len(chunks) > 4 and line_runs == [chunks[0][:1]] and chunks[0][0].startswith("p ")
+    assert reads == ([("a", 5, [line for line in chunks[0] if line[0] == "a"])]
+                     + [("e", 4, [line for line in chunk if line[0] == "e"]) for chunk in chunks])
     assert len(inst.assignments) + len(inst.pairwise_terms) + 1 == text.count("\n")
     assert [c.dtype for c in inst.pairwise_terms.columns] == [np.int64, np.int64, np.float64]
 
 
-# Middle lines for a chunk whose first and last lines are pairwise lines;
-# the last three of them break the file.
+# Odd lines to put among the a lines or among the e lines; the last three
+# of them break the file.  A_RUN_BREAKERS break a rule only an a line
+# has: a duplicate id, and a left index out of range.
 ODD_MIDDLE_LINES = ["c a comment", "", "   ", "\t", "\r", " e 1 3 -2.5", "\t\te\t1\t3\t-2.5",
                     "a 4 1 2 0.5",
                     "p 2 3 4 7", "ee 0 2 1.5", "e\0 0 2 1.5"]
+A_RUN_BREAKERS = ["a 0 1 2 0.5", "a 4 2 0 0.5"]
 
 
 @pytest.mark.parametrize("tail", ["valid", "unknown id"])
-@pytest.mark.parametrize("middle", ODD_MIDDLE_LINES)
-def test_chunks_that_start_and_end_with_e_lines_read_as_the_line_oracle(monkeypatch, middle, tail):
-    # Chunks of five lines: the header and the a lines, then e lines with
-    # the odd line third of the second chunk.  An unknown id in the last e
-    # line of that chunk makes the error's line depend on every line before
+@pytest.mark.parametrize("middle,among", [
+    *(pytest.param(middle, "e", id=middle) for middle in ODD_MIDDLE_LINES),
+    *(pytest.param(middle, "a", id=f"among a: {middle}")
+      for middle in ODD_MIDDLE_LINES + A_RUN_BREAKERS)])
+def test_chunks_that_start_and_end_with_e_lines_read_as_the_line_oracle(
+        monkeypatch, middle, among, tail):
+    # Chunks of five lines.  Among the e lines, the odd line is third of
+    # the second chunk, which holds e lines only; among the a lines, it is
+    # fourth of the first, after the header and two a lines, and the second
+    # chunk is an a line, then e lines.  An unknown id in the last line of
+    # the second chunk makes the error's line depend on every line before
     # it being counted.
     last = "e 1 2 4.0" if tail == "valid" else "e 1 9 4.0"
-    body = (["a 0 0 0 1.0", "a 1 0 1 -1.0", "a 2 1 0 2.0", "a 3 1 1 0.0"]
-            + ["e 0 2 1.0", "e 0 3 2.0", middle, "e 1 3 3.0", last]
-            + ["e 3 0 5.0", "e 2 1 6.0", "e 0 3 7.0"])
+    a_lines = ["a 0 0 0 1.0", "a 1 0 1 -1.0", "a 2 1 0 2.0", "a 3 1 1 0.0"]
+    e_lines = ["e 0 2 1.0", "e 0 3 2.0", "e 1 3 3.0", last, "e 3 0 5.0", "e 2 1 6.0", "e 0 3 7.0"]
+    (a_lines if among == "a" else e_lines).insert(2, middle)
+    body = a_lines + e_lines
     kinds = [line.split()[:1] for line in body]
     text = "\n".join([f"p 2 3 {kinds.count(['a'])} {kinds.count(['e'])}"] + body) + "\n"
     monkeypatch.setattr(ddio, "_CHUNK_LINES", 5)
-    chunks = _first_arguments(monkeypatch, "_read_chunk")
+    lines = text.split("\n")[:-1]
+    chunks = [lines[k:k + ddio._CHUNK_LINES] for k in range(0, len(lines), ddio._CHUNK_LINES)]
+    assert (chunks[1][2] if among == "e" else chunks[0][3]) == middle
+    assert chunks[1][0][:1] == among and all(c[-1][:1] == "e" for c in chunks[1:])
     expected = _read_or_error(_oracle_columns, text)
     assert _read_or_error(_parse_dd_columns, io.StringIO(text)) == expected
-    assert chunks[1][2] == middle + "\n"
-    assert all(c[0][:1] == c[-1][:1] == "e" for c in chunks[1:])
     assert _read_or_error(_parse_dd_columns, text) == expected
-    assert (len(expected) == 4) == (tail == "valid" and middle not in ODD_MIDDLE_LINES[-3:])
+    assert (len(expected) == 4) == (tail == "valid" and middle in ODD_MIDDLE_LINES[:-3])
 
 
 def _grid_text(n):
